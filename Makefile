@@ -3,7 +3,7 @@ STATICCHECK_VERSION ?= 2023.1.7
 
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race bench bench-json lintbudget fuzz lint staticcheck determinism crashsafety shardci profile ci
+.PHONY: all build vet test perfbench race bench bench-json lintbudget fuzz lint staticcheck determinism crashsafety shardci profile ci
 
 all: vet lint test
 
@@ -15,6 +15,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# perfbench is its own Go module (see perfbench/README.md), so the
+# root's ./... never compiles it; vet and test it here so an API change
+# in the study cannot silently break the benchmark.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 race:
 	$(GO) test -race ./...
@@ -184,9 +191,10 @@ profile:
 	$(GO) run ./cmd/studyprof -scale 0.004 -seed 2019 -top 3 -min-attrib 0.9
 
 # ci is the full gate: vet, studylint with the suppression audit
-# (always-on, offline-safe), the test suite, the race detector, a short
+# (always-on, offline-safe), the test suite, the perfbench module's vet
+# and tests, the race detector, a short
 # fuzz pass, the run-manifest determinism gate, the kill/resume
 # crash-safety gate, the coordinator/worker shard-equivalence gate, the
 # profile-attribution gate, the lint wall-clock budget, and staticcheck
 # when the environment can reach it.
-ci: vet lint test race fuzz determinism crashsafety shardci profile lintbudget staticcheck
+ci: vet lint test perfbench race fuzz determinism crashsafety shardci profile lintbudget staticcheck

@@ -61,21 +61,6 @@ func (st *Study) Crawl(ctx context.Context, hosts []string, country string) (*Cr
 func (st *Study) CrawlStage(ctx context.Context, hosts []string, country, stageName, corpus string) (*CrawlResult, error) {
 	ctx, span := st.Tracer.Start(ctx, "crawl/"+country)
 	defer span.End()
-	// Refine the ambient stage label with the crawl's vantage and corpus,
-	// so profile samples split by where (and over which site set) the CPU
-	// went; the forEach workers below inherit the whole label set.
-	prev := ctx
-	ctx = pprof.WithLabels(ctx, pprof.Labels("vantage", country, "corpus", corpus))
-	pprof.SetGoroutineLabels(ctx)
-	defer pprof.SetGoroutineLabels(prev)
-	sess, err := st.session(country, "crawl")
-	if err != nil {
-		return nil, err
-	}
-	b := browser.New(sess)
-	b.Stage = stageName
-	b.Corpus = corpus
-	b.Rank = st.Rank.BaseRank
 	cr := &CrawlResult{
 		Country:         country,
 		Attempted:       len(hosts),
@@ -83,67 +68,118 @@ func (st *Study) CrawlStage(ctx context.Context, hosts []string, country, stageN
 		FailuresByClass: map[string]int{},
 		tpCacheHits:     st.Metrics.Counter("crawl_tp_cache_hits_total", "country", country),
 	}
-	// With a durable store, visits a previous run already persisted are
-	// replayed instead of refetched; only the rest are crawled, and each
-	// completed visit streams into the store as it finishes.
-	pending, replayed := st.hostsToVisit(stageName, corpus, country, hosts, false)
-	// A sharded study dispatches the pending visits across the worker
-	// fleet and folds the merged entries back in through the same
-	// replay path a resumed run uses — machinery the crash-safety gate
-	// already holds to byte-identity, which is why sharded == serial.
+	out, err := st.runCrawl(ctx, hosts, country, stageName, corpus, false)
+	if err != nil {
+		return nil, err
+	}
+	for h, e := range out.visits {
+		cr.Visits[h] = e.Page
+		if e.Page.OK {
+			cr.Crawled = append(cr.Crawled, h)
+		} else if e.Page.FailClass != "" {
+			cr.FailuresByClass[e.Page.FailClass]++
+		}
+	}
+	sort.Strings(cr.Crawled)
+	cr.Log, cr.CertOrgs, cr.RequestFailures = out.log, out.certOrgs, out.failures
+	span.SetAttr("sites", fmt.Sprint(len(cr.Crawled)))
+	span.SetAttr("requests", fmt.Sprint(len(cr.Log)))
+	st.Log.Infof("crawl[%s]: %d/%d sites, %d requests", country, len(cr.Crawled), len(hosts), len(cr.Log))
+	return cr, nil
+}
+
+// crawlOutput is what one crawl stage produced, before CrawlStage or
+// InteractiveCrawlStage shape it: every visited host's entry (live or
+// replayed) and the session's request log, certificate organizations
+// and terminal request failures with the replayed visits merged in.
+type crawlOutput struct {
+	visits   map[string]*visitEntry
+	log      []crawler.Record
+	certOrgs map[string]string
+	failures map[string]uint64
+}
+
+// runCrawl is the one crawl-stage executor behind both crawl kinds.
+// With a durable store, visits a previous run already persisted are
+// replayed instead of refetched; a sharded study dispatches the rest
+// across the worker fleet and folds the merged entries back in through
+// the same replay path — machinery the crash-safety gate already holds
+// to byte-identity, which is why sharded == serial. Otherwise the
+// pending hosts are visited on the study's worker pool and each
+// completed visit streams into the store as it finishes. A non-empty
+// stageName records the merged log's digest and checkpoints the store.
+func (st *Study) runCrawl(ctx context.Context, hosts []string, country, stageName, corpus string, interactive bool) (*crawlOutput, error) {
+	// Refine the ambient stage label with the crawl's vantage and corpus,
+	// so profile samples split by where (and over which site set) the CPU
+	// went; the forEach workers below inherit the whole label set.
+	prev := ctx
+	ctx = pprof.WithLabels(ctx, pprof.Labels("vantage", country, "corpus", corpus))
+	pprof.SetGoroutineLabels(ctx)
+	defer pprof.SetGoroutineLabels(prev)
+	b, sess, err := st.stageBrowser(country, stageName, corpus, interactive)
+	if err != nil {
+		return nil, err
+	}
+	pending, replayed := st.hostsToVisit(stageName, corpus, country, hosts, interactive)
 	if st.coord != nil && stageName != "" && len(pending) > 0 {
-		entries, err := st.dispatchShards(ctx, stageName, corpus, country, pending, false)
+		entries, err := st.dispatchShards(ctx, stageName, corpus, country, pending, interactive)
 		if err != nil {
 			return nil, err
 		}
-		replayed, err = st.foldShardEntries(stageName, corpus, country, pending, entries, replayed, false)
+		replayed, err = st.foldShardEntries(stageName, corpus, country, pending, entries, replayed, interactive)
 		if err != nil {
 			return nil, err
 		}
 		pending = nil
 	}
+	out := &crawlOutput{visits: make(map[string]*visitEntry, len(hosts))}
 	var mu sync.Mutex
 	st.forEach(ctx, len(pending), func(i int) {
-		pv := b.Visit(ctx, pending[i])
+		h := pending[i]
+		v := visit(ctx, b, h, interactive)
 		mu.Lock()
-		cr.Visits[pending[i]] = pv
+		out.visits[h] = v
 		mu.Unlock()
 		if st.store != nil && stageName != "" {
-			st.persistVisit(storeKey(stageName, corpus, country, pending[i]),
-				pageEntry(pv, sess, pending[i]))
+			st.persistVisit(storeKey(stageName, corpus, country, h), durableEntry(v, sess, h))
 		}
 	})
 	for _, h := range hosts {
 		if e := replayed[h]; e != nil {
-			cr.Visits[h] = e.Page
+			out.visits[h] = e
 		}
 	}
-	for h, pv := range cr.Visits {
-		if pv.OK {
-			cr.Crawled = append(cr.Crawled, h)
-		} else if pv.FailClass != "" {
-			cr.FailuresByClass[pv.FailClass]++
-		}
-	}
-	sort.Strings(cr.Crawled)
-	cr.Log = sess.Log()
-	cr.CertOrgs = sess.CertOrgs()
-	cr.RequestFailures = sess.FailureCounts()
+	out.log, out.certOrgs, out.failures = sess.Log(), sess.CertOrgs(), sess.FailureCounts()
 	if len(replayed) > 0 {
-		cr.Log, cr.CertOrgs, cr.RequestFailures =
-			mergeReplayed(hosts, replayed, cr.Log, cr.CertOrgs, cr.RequestFailures)
+		out.log, out.certOrgs, out.failures = mergeReplayed(hosts, replayed, out.log, out.certOrgs, out.failures)
 	}
-	span.SetAttr("sites", fmt.Sprint(len(cr.Crawled)))
-	span.SetAttr("requests", fmt.Sprint(len(cr.Log)))
 	if stageName != "" {
-		n, digest := crawlLogDigest(cr.Log)
+		n, digest := crawlLogDigest(out.log)
 		st.prov.RecordStage(stageName, n, digest)
 		// A stage boundary is a natural durability point: everything this
 		// stage persisted becomes crash-proof before the next stage starts.
 		st.checkpointStore()
 	}
-	st.Log.Infof("crawl[%s]: %d/%d sites, %d requests", country, len(cr.Crawled), len(hosts), len(cr.Log))
-	return cr, nil
+	return out, nil
+}
+
+// stageBrowser opens the session and browser one crawl stage (or one
+// shard of it) visits with: the interactive crawl runs in the "policy"
+// phase, the instrumented crawl in "crawl".
+func (st *Study) stageBrowser(country, stageName, corpus string, interactive bool) (*browser.Browser, *crawler.Session, error) {
+	phase := "crawl"
+	if interactive {
+		phase = "policy"
+	}
+	sess, err := st.session(country, phase)
+	if err != nil {
+		return nil, nil, err
+	}
+	b := browser.New(sess)
+	b.Stage = stageName
+	b.Corpus = corpus
+	b.Rank = st.Rank.BaseRank
+	return b, sess, nil
 }
 
 // classifier builds the first/third-party classifier from the crawl's

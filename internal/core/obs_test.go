@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -176,4 +177,37 @@ func TestNoListenerWithoutAddr(t *testing.T) {
 	if st.Metrics == nil || st.Tracer == nil || st.Log == nil {
 		t.Fatal("obs handles must exist even without a listener")
 	}
+}
+
+// TestAdminListenFailureReleasesStudy: when the admin listener cannot
+// bind, NewStudy must release everything it already opened — the shard
+// coordinator's registration listener included — so the caller can
+// retry on the same addresses.
+func TestAdminListenFailureReleasesStudy(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordAddr := free.Addr().String()
+	free.Close()
+
+	_, err = NewStudy(Config{
+		Params:          webgen.Params{Seed: 11, Scale: 0.004},
+		Shards:          2,
+		CoordinatorAddr: coordAddr,
+		MetricsAddr:     busy.Addr().String(),
+	})
+	if err == nil {
+		t.Fatal("NewStudy succeeded with its admin address already bound")
+	}
+	ln, err := net.Listen("tcp", coordAddr)
+	if err != nil {
+		t.Fatalf("coordinator listener leaked after failed NewStudy: %v", err)
+	}
+	ln.Close()
 }

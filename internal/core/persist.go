@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -80,30 +81,38 @@ func (st *Study) persistRaw(k store.Key, raw []byte) {
 	}
 }
 
-// pageEntry assembles the durable entry for one instrumented page
-// visit: the visit outcome (span ID zeroed — tracing is volatile),
-// its per-site request records, stats and failure counts.
-func pageEntry(pv *browser.PageVisit, sess *crawler.Session, site string) *visitEntry {
-	cp := *pv
-	cp.SpanID = 0
-	return &visitEntry{
-		Page:     &cp,
+// visit performs one visit of the stage's kind — the instrumented page
+// load or the Selenium-analog interactive visit — and returns the live
+// outcome as an entry holding only that visit.
+func visit(ctx context.Context, b *browser.Browser, site string, interactive bool) *visitEntry {
+	if interactive {
+		return &visitEntry{Interactive: b.VisitInteractive(ctx, site)}
+	}
+	return &visitEntry{Page: b.Visit(ctx, site)}
+}
+
+// durableEntry assembles the durable entry for one live visit: the
+// visit outcome (span ID zeroed — tracing is volatile), its per-site
+// request records, stats and failure counts. The store and the shard
+// wire both carry exactly these bytes, so a sharded run's durable log
+// matches an unsharded one's.
+func durableEntry(v *visitEntry, sess *crawler.Session, site string) *visitEntry {
+	e := &visitEntry{
 		Records:  normalizeRecords(sess.SiteRecords(site)),
 		Stats:    sess.VisitStats(site),
 		Failures: sess.SiteFailureCounts(site),
 	}
-}
-
-// interactiveEntry is pageEntry for the Selenium-analog crawl.
-func interactiveEntry(iv *browser.InteractiveVisit, sess *crawler.Session, site string) *visitEntry {
-	cp := *iv
-	cp.SpanID = 0
-	return &visitEntry{
-		Interactive: &cp,
-		Records:     normalizeRecords(sess.SiteRecords(site)),
-		Stats:       sess.VisitStats(site),
-		Failures:    sess.SiteFailureCounts(site),
+	if v.Page != nil {
+		cp := *v.Page
+		cp.SpanID = 0
+		e.Page = &cp
 	}
+	if v.Interactive != nil {
+		cp := *v.Interactive
+		cp.SpanID = 0
+		e.Interactive = &cp
+	}
+	return e
 }
 
 // errWrongKind marks a durable entry of the other visit kind — a page

@@ -126,6 +126,10 @@ func (st *Study) runSerial(ctx context.Context) (*Results, error) {
 	ctx, root := obs.StartSpan(ctx, "study/run")
 	defer root.End()
 	res := &Results{}
+	opts := st.stageOptions()
+	stage := func(name string, fn func(context.Context) error) error {
+		return sched.RunStage(ctx, opts, name, fn)
+	}
 
 	// measure wraps one synchronous analysis as a traced, timed stage.
 	// Once the context dies it stops running stages; the error surfaces at
@@ -135,9 +139,7 @@ func (st *Study) runSerial(ctx context.Context) (*Results, error) {
 		if ctx.Err() != nil {
 			return
 		}
-		_, done := st.stage(ctx, name)
-		fn()
-		done()
+		_ = stage(name, pure(fn)) // a pure stage cannot fail
 	}
 	// checkpoint returns the context's error, if any, wrapped once.
 	checkpoint := func() error {
@@ -148,10 +150,11 @@ func (st *Study) runSerial(ctx context.Context) (*Results, error) {
 	}
 
 	st.Log.Infof("compiling corpus...")
-	sctx, done := st.stage(ctx, "corpus")
-	corpus, err := st.CompileCorpus(sctx)
-	done()
-	if err != nil {
+	var corpus *Corpus
+	if err := stage("corpus", func(ctx context.Context) (err error) {
+		corpus, err = st.CompileCorpus(ctx)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: corpus: %w", err)
 	}
 	if err := checkpoint(); err != nil {
@@ -165,19 +168,20 @@ func (st *Study) runSerial(ctx context.Context) (*Results, error) {
 	measure("analysis/rank-stability", func() { res.Figure1 = st.RankStability(corpus.Porn) })
 
 	st.Log.Infof("main crawl (ES)...")
-	sctx, done = st.stage(ctx, "crawl/porn-ES")
-	pornES, err := st.CrawlStage(sctx, corpus.Porn, "ES", "crawl/porn-ES", "porn")
-	done()
-	if err != nil {
+	var pornES, regES, pornUS *CrawlResult
+	if err := stage("crawl/porn-ES", func(ctx context.Context) (err error) {
+		pornES, err = st.CrawlStage(ctx, corpus.Porn, "ES", "crawl/porn-ES", "porn")
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: porn crawl: %w", err)
 	}
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
-	sctx, done = st.stage(ctx, "crawl/reference-ES")
-	regES, err := st.CrawlStage(sctx, corpus.Reference, "ES", "crawl/reference-ES", "reference")
-	done()
-	if err != nil {
+	if err := stage("crawl/reference-ES", func(ctx context.Context) (err error) {
+		regES, err = st.CrawlStage(ctx, corpus.Reference, "ES", "crawl/reference-ES", "reference")
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: regular crawl: %w", err)
 	}
 	regularTP := map[string]bool{}
@@ -216,10 +220,10 @@ func (st *Study) runSerial(ctx context.Context) (*Results, error) {
 	}
 
 	st.Log.Infof("banner crawl (US)...")
-	sctx, done = st.stage(ctx, "crawl/porn-US")
-	pornUS, err := st.CrawlStage(sctx, corpus.Porn, "US", "crawl/porn-US", "porn")
-	done()
-	if err != nil {
+	if err := stage("crawl/porn-US", func(ctx context.Context) (err error) {
+		pornUS, err = st.CrawlStage(ctx, corpus.Porn, "US", "crawl/porn-US", "porn")
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: US crawl: %w", err)
 	}
 	measure("analysis/banners", func() {
@@ -231,10 +235,11 @@ func (st *Study) runSerial(ctx context.Context) (*Results, error) {
 	}
 
 	st.Log.Infof("interactive crawl (ES)...")
-	sctx, done = st.stage(ctx, "crawl/interactive-ES")
-	interactive, err := st.InteractiveCrawlStage(sctx, corpus.Porn, "ES", "crawl/interactive-ES")
-	done()
-	if err != nil {
+	var interactive map[string]*browser.InteractiveVisit
+	if err := stage("crawl/interactive-ES", func(ctx context.Context) (err error) {
+		interactive, err = st.InteractiveCrawlStage(ctx, corpus.Porn, "ES", "crawl/interactive-ES")
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: interactive crawl: %w", err)
 	}
 	measure("analysis/policies", func() {
@@ -248,29 +253,27 @@ func (st *Study) runSerial(ctx context.Context) (*Results, error) {
 	}
 
 	st.Log.Infof("age verification (US/UK/ES/RU)...")
-	sctx, done = st.stage(ctx, "analysis/age-verification")
-	age, err := st.AnalyzeAgeVerification(sctx, corpus.Porn)
-	done()
-	if err != nil {
+	if err := stage("analysis/age-verification", func(ctx context.Context) (err error) {
+		res.AgeVerification, err = st.AnalyzeAgeVerification(ctx, corpus.Porn)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: age verification: %w", err)
 	}
-	res.AgeVerification = age
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
 
 	st.Log.Infof("geographic crawls...")
-	sctx, done = st.stage(ctx, "analysis/geo")
 	crawls := map[string]*CrawlResult{
 		"ES": pornES,
 		"US": pornUS,
 	}
-	geo, err := st.AnalyzeGeo(sctx, corpus.Porn, regularTP, crawls)
-	done()
-	if err != nil {
+	if err := stage("analysis/geo", func(ctx context.Context) (err error) {
+		res.Table7, err = st.AnalyzeGeo(ctx, corpus.Porn, regularTP, crawls)
+		return err
+	}); err != nil {
 		return nil, fmt.Errorf("core: geo: %w", err)
 	}
-	res.Table7 = geo
 	if err := checkpoint(); err != nil {
 		return nil, err
 	}
@@ -324,24 +327,34 @@ func (st *Study) runScheduled(ctx context.Context) (*Results, error) {
 	defer root.End()
 
 	ps := newPipeState()
-	g := st.buildPipeline(ps)
-	err := g.Run(ctx, sched.Options{
+	if err := st.buildPipeline(ps).Run(ctx, st.stageOptions()); err != nil {
+		return nil, err
+	}
+	return ps.res, nil
+}
+
+// stageOptions is the per-stage instrumentation both schedules share:
+// sched.RunStage's metrics and debug events, plus each stage's wall time
+// into the runinfo.json sidecar.
+func (st *Study) stageOptions() sched.Options {
+	return sched.Options{
 		Workers: st.Cfg.StageWorkers,
 		Metrics: st.Metrics,
 		Logger:  st.Log,
 		OnStageDone: func(name string, took time.Duration, err error) {
 			st.prov.RecordTiming(name, took)
 		},
-	})
-	if err != nil {
-		return nil, err
 	}
-	return ps.res, nil
+}
+
+// pure adapts a synchronous analysis (which cannot fail) to a stage.
+func pure(fn func()) func(context.Context) error {
+	return func(context.Context) error { fn(); return nil }
 }
 
 // buildPipeline declares the full study DAG over the given state. It is
-// the single source of truth for the scheduled pipeline's shape; the
-// PipelineDependencies test pins its edges against the documented DAG.
+// the single source of truth for the scheduled pipeline's shape and for
+// the stage inputs BuildManifest publishes.
 func (st *Study) buildPipeline(ps *pipeState) *sched.Graph {
 	res := ps.res
 	addCrawl := func(country string, cr *CrawlResult) {
@@ -351,10 +364,6 @@ func (st *Study) buildPipeline(ps *pipeState) *sched.Graph {
 	}
 
 	g := sched.New()
-	// pure adapts a synchronous analysis (which cannot fail) to a stage.
-	pure := func(fn func()) func(context.Context) error {
-		return func(context.Context) error { fn(); return nil }
-	}
 
 	g.MustAdd("corpus", func(ctx context.Context) error {
 		st.Log.Infof("compiling corpus...")

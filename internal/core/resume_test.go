@@ -51,10 +51,13 @@ func runToCompletion(t *testing.T, cfg Config) (*provenance.Manifest, []byte) {
 // store-backed run killed at a seeded append, then resumed against the
 // surviving directory, must produce a manifest byte-identical to an
 // uninterrupted run — for a kill before the first durable visit, one
-// mid-corpus, and one at the last append.
+// mid-corpus, and one at the last append. A sharded store-backed run
+// must match it too, durable log included: the coordinator persists
+// the workers' entry bytes, which must be the bytes an unsharded crawl
+// writes for the same visits.
 func TestResumeEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs seven full studies")
+		t.Skip("runs eight full studies")
 	}
 	const seed = 11
 	base, rawBase := runToCompletion(t, storeCfg(seed, t.TempDir()))
@@ -62,6 +65,20 @@ func TestResumeEquivalence(t *testing.T) {
 		t.Fatal("store-backed run recorded no store info in its manifest")
 	}
 	total := base.Store.Entries
+
+	t.Run("sharded", func(t *testing.T) {
+		cfg := storeCfg(seed, t.TempDir())
+		cfg.Shards = 3
+		sharded, rawSharded := runToCompletion(t, cfg)
+		if sharded.Store == nil || *sharded.Store != *base.Store {
+			t.Fatalf("sharded durable log %+v, unsharded %+v", sharded.Store, *base.Store)
+		}
+		if !bytes.Equal(rawBase, rawSharded) {
+			var buf bytes.Buffer
+			provenance.Diff(base, sharded).Format(&buf)
+			t.Fatalf("sharded manifest differs from unsharded run:\n%s", buf.String())
+		}
+	})
 
 	kills := []struct {
 		name  string

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"pornweb/internal/browser"
 	"pornweb/internal/provenance"
 	"pornweb/internal/shard"
 )
@@ -37,18 +36,10 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 		return nil, fmt.Errorf("core: assignment fingerprint %s seed %d, study is %s seed %d: %w",
 			a.Fingerprint, a.Seed, st.fingerprint, st.Cfg.Params.Seed, shard.ErrFingerprintMismatch)
 	}
-	phase := "crawl"
-	if a.Interactive {
-		phase = "policy"
-	}
-	sess, err := st.session(a.Vantage, phase)
+	b, sess, err := st.stageBrowser(a.Vantage, a.Stage, a.Corpus, a.Interactive)
 	if err != nil {
 		return nil, err
 	}
-	b := browser.New(sess)
-	b.Stage = a.Stage
-	b.Corpus = a.Corpus
-	b.Rank = st.Rank.BaseRank
 	res := &shard.Result{Stage: a.Stage, Shard: a.Shard}
 	for _, h := range a.Hosts {
 		if err := ctx.Err(); err != nil {
@@ -57,13 +48,7 @@ func (st *Study) RunShard(ctx context.Context, a shard.Assignment, kill *shard.K
 		if err := kill.Visit(); err != nil {
 			return nil, err
 		}
-		var e *visitEntry
-		if a.Interactive {
-			e = interactiveEntry(b.VisitInteractive(ctx, h), sess, h)
-		} else {
-			e = pageEntry(b.Visit(ctx, h), sess, h)
-		}
-		raw, err := json.Marshal(e)
+		raw, err := json.Marshal(durableEntry(visit(ctx, b, h, a.Interactive), sess, h))
 		if err != nil {
 			return nil, fmt.Errorf("core: serialize visit %s: %w", h, err)
 		}

@@ -8,11 +8,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -49,13 +47,8 @@ type Config struct {
 	// Timeout bounds a single page load (the paper used 120 s; the
 	// loopback substrate needs far less).
 	Timeout time.Duration
-	// Log receives progress lines when non-nil. Deprecated in favour of
-	// Logger; when set it is kept working as a sink behind the structured
-	// logger, so existing callers lose nothing.
-	Log func(format string, args ...any)
 	// Logger is the structured leveled logger for the whole study. When
-	// nil, one is built that discards output (but still feeds the legacy
-	// Log callback when that is set).
+	// nil, one is built that discards output.
 	Logger *obs.Logger
 	// Metrics is the registry every layer (crawler, browser, webserver,
 	// blocklists, pipeline stages) registers into. When nil a fresh
@@ -148,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 15 * time.Second
 	}
-	if c.Log == nil {
-		c.Log = func(string, ...any) {}
-	}
 	if c.SpanBuffer == 0 {
 		c.SpanBuffer = 4096
 	}
@@ -215,7 +205,6 @@ type Study struct {
 
 // NewStudy generates the ecosystem and starts its server.
 func NewStudy(cfg Config) (*Study, error) {
-	userLog := cfg.Log // capture before withDefaults installs the no-op
 	cfg = cfg.withDefaults()
 
 	reg := cfg.Metrics
@@ -225,9 +214,6 @@ func NewStudy(cfg Config) (*Study, error) {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = obs.NewLogger(nil, obs.LevelInfo)
-	}
-	if userLog != nil {
-		logger = logger.WithSink(userLog)
 	}
 	logger = logger.CountIn(reg)
 	tracer := obs.NewTracer(cfg.SpanBuffer).CountIn(reg)
@@ -350,7 +336,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		}
 		admin, err := obs.ServeAdmin(cfg.MetricsAddr, reg, tracer, st.Flight, extra...)
 		if err != nil {
-			srv.Close()
+			st.Close()
 			return nil, fmt.Errorf("core: admin listener: %w", err)
 		}
 		st.admin = admin
@@ -401,30 +387,4 @@ func (st *Study) session(country, phase string) (*crawler.Session, error) {
 		PageBudget:  st.Cfg.PageBudget,
 		Flight:      st.Flight,
 	})
-}
-
-// stage opens a traced, timed pipeline stage: a span named stage/<name>
-// plus an observation in the study_stage_seconds histogram when the
-// returned func runs. The serial path has no worker goroutine to wrap in
-// pprof.Do, so it sets the stage label on the calling goroutine directly
-// (goroutines the stage spawns inherit it) and clears it in the done
-// func; resource snapshots bracket the stage the same way the scheduler
-// brackets its workers, feeding the study_stage_* resource metrics.
-func (st *Study) stage(ctx context.Context, name string) (context.Context, func()) {
-	//studylint:ignore metricnames the serial runner forwards declared stage names; buildPipeline is the single source of the (static) stage set
-	ctx = pprof.WithLabels(ctx, pprof.Labels("stage", name))
-	pprof.SetGoroutineLabels(ctx)
-	ctx, span := st.Tracer.Start(ctx, "stage/"+name)
-	h := st.Metrics.Histogram("study_stage_seconds", obs.StageBuckets, "stage", name)
-	start := st.clock()
-	startRes := obs.TakeResourceSnapshot()
-	return ctx, func() {
-		st.Metrics.RecordStageResources(name, startRes, obs.TakeResourceSnapshot())
-		pprof.SetGoroutineLabels(context.Background())
-		d := st.clock().Sub(start)
-		h.Observe(d.Seconds())
-		span.End()
-		st.prov.RecordTiming(name, d)
-		st.Log.Event(obs.LevelDebug, "stage done", "stage", name, "took", d.Round(time.Millisecond))
-	}
 }

@@ -248,7 +248,6 @@ func (g *Graph) Run(parent context.Context, opts Options) error {
 		}
 	}
 
-	opts.Metrics.Describe("study_stage_seconds", "Pipeline stage run time in seconds.")
 	opts.Metrics.Describe("study_stage_wait_seconds", "Time a runnable stage queued for a scheduler worker.")
 	opts.Metrics.Describe("study_stages_inflight", "Pipeline stages currently executing.")
 	inflight := opts.Metrics.Gauge("study_stages_inflight")
@@ -283,36 +282,8 @@ func (g *Graph) Run(parent context.Context, opts Options) error {
 				opts.Metrics.Histogram("study_stage_wait_seconds", obs.WaitBuckets,
 					"stage", s.name).Observe(time.Since(r.at).Seconds())
 				inflight.Add(1)
-				if opts.OnStageStart != nil {
-					opts.OnStageStart(s.name)
-				}
-				startRes := obs.TakeResourceSnapshot()
-				var err error
-				var d time.Duration
-				// The pprof label makes every CPU sample taken while this
-				// stage (and any goroutine it spawns — crawl workers,
-				// transport connections) runs attributable to it by name;
-				// cmd/studyprof aggregates the profile on exactly this key.
-				// (internal/sched is the one PprofStageForwarders package:
-				// the stage names here were declared statically by callers.)
-				pprof.Do(ctx, pprof.Labels("stage", s.name), func(lctx context.Context) {
-					sctx, span := obs.StartSpan(lctx, "stage/"+s.name)
-					start := time.Now()
-					err = s.fn(sctx)
-					d = time.Since(start)
-					span.End()
-				})
+				err := RunStage(ctx, opts, s.name, s.fn)
 				inflight.Add(-1)
-				opts.Metrics.RecordStageResources(s.name, startRes, obs.TakeResourceSnapshot())
-				opts.Metrics.Histogram("study_stage_seconds", obs.StageBuckets,
-					"stage", s.name).Observe(d.Seconds())
-				if opts.Logger != nil {
-					opts.Logger.Event(obs.LevelDebug, "stage done",
-						"stage", s.name, "took", d.Round(time.Millisecond), "err", err != nil)
-				}
-				if opts.OnStageDone != nil {
-					opts.OnStageDone(s.name, d, err)
-				}
 				done <- doneItem{idx: r.idx, err: err}
 			}
 		}()
@@ -352,4 +323,44 @@ func (g *Graph) Run(parent context.Context, opts Options) error {
 	// No stage failed; if stages went unscheduled the parent context must
 	// have been cancelled mid-run.
 	return parent.Err()
+}
+
+// RunStage runs one pipeline stage with the study's per-stage
+// instrumentation: a pprof "stage" label on the calling goroutine (and
+// every goroutine the stage spawns), a stage/<name> span under the
+// context's tracer, the study_stage_seconds histogram, the
+// study_stage_* resource metrics, a debug event, and the Options
+// callbacks. Graph.Run calls it for every stage it dispatches; a caller
+// that orders stages by hand calls it directly so both schedules are
+// instrumented identically. It returns fn's error unwrapped.
+func RunStage(ctx context.Context, opts Options, name string, fn func(context.Context) error) error {
+	opts.Metrics.Describe("study_stage_seconds", "Pipeline stage run time in seconds.")
+	if opts.OnStageStart != nil {
+		opts.OnStageStart(name)
+	}
+	startRes := obs.TakeResourceSnapshot()
+	var err error
+	var d time.Duration
+	// The pprof label makes every CPU sample taken while this stage runs
+	// attributable to it by name; cmd/studyprof aggregates the profile on
+	// exactly this key. (internal/sched is the one PprofStageForwarders
+	// package: the stage names here were declared statically by callers.)
+	pprof.Do(ctx, pprof.Labels("stage", name), func(lctx context.Context) {
+		sctx, span := obs.StartSpan(lctx, "stage/"+name)
+		start := time.Now()
+		err = fn(sctx)
+		d = time.Since(start)
+		span.End()
+	})
+	opts.Metrics.RecordStageResources(name, startRes, obs.TakeResourceSnapshot())
+	opts.Metrics.Histogram("study_stage_seconds", obs.StageBuckets,
+		"stage", name).Observe(d.Seconds())
+	if opts.Logger != nil {
+		opts.Logger.Event(obs.LevelDebug, "stage done",
+			"stage", name, "took", d.Round(time.Millisecond), "err", err != nil)
+	}
+	if opts.OnStageDone != nil {
+		opts.OnStageDone(name, d, err)
+	}
+	return err
 }

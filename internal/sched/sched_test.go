@@ -479,3 +479,38 @@ func TestStageResourceMetrics(t *testing.T) {
 		t.Error("stage allocated ~1MiB but study_stage_alloc_bytes_total is zero")
 	}
 }
+
+// TestRunStageDirect: a stage run by hand through RunStage (the serial
+// reference schedule's path) gets the same instrumentation as one the
+// graph dispatches — pprof label, stage span, run-time histogram and
+// OnStageDone — and its error comes back unwrapped.
+func TestRunStageDirect(t *testing.T) {
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer(8)
+	boom := errors.New("boom")
+	var label string
+	var doneErr error
+	err := RunStage(obs.WithTracer(context.Background(), tr), Options{
+		Metrics:     reg,
+		OnStageDone: func(_ string, _ time.Duration, err error) { doneErr = err },
+	}, "analysis/x", func(ctx context.Context) error {
+		label, _ = pprof.Label(ctx, "stage")
+		return boom
+	})
+	if err != boom || doneErr != boom {
+		t.Fatalf("RunStage error = %v, OnStageDone saw %v, want %v unwrapped", err, doneErr, boom)
+	}
+	if label != "analysis/x" {
+		t.Errorf("stage ran with label %q, want analysis/x", label)
+	}
+	if spans := tr.Recent(); len(spans) != 1 || spans[0].Name != "stage/analysis/x" {
+		t.Errorf("spans = %+v, want one stage/analysis/x", spans)
+	}
+	var buf strings.Builder
+	if err := reg.WriteExposition(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `study_stage_seconds_count{stage="analysis/x"} 1`) {
+		t.Error("study_stage_seconds has no observation for the stage")
+	}
+}
