@@ -29,27 +29,37 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# bench-json times the full pipeline serial vs scheduled and writes
-# BENCH_pipeline.json: mean ns/op per path plus the speedup ratio (>1
-# means the DAG scheduler is faster; expect ~1.0 on a single core).
+# bench-json times each benchmark family and writes one BENCH_*.json per
+# family: mean and min ns/op per benchmark plus the ratios declared
+# below with benchjson's -ratio name=NUM/DEN (each {"mean", "min"}).
+# stageworkers1_over_scheduled > 1 means overlapping stages pays off
+# (expect ~1.0 on a single core); the other ratios price one feature
+# against the plain scheduled pipeline.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Serial|Scheduled)$$' -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/benchjson > BENCH_pipeline.json
+	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(StageWorkers1|Scheduled)$$' -benchtime=1x -count=3 . \
+		| $(GO) run ./cmd/benchjson \
+			-ratio stageworkers1_over_scheduled=StudyRunStageWorkers1/StudyRunScheduled > BENCH_pipeline.json
 	@cat BENCH_pipeline.json
 	$(GO) test -run '^$$' -bench 'BenchmarkFlightVisit|BenchmarkManifestWrite|BenchmarkMultisetHash|BenchmarkDiff' \
 		-count=3 ./internal/obs/ ./internal/provenance/ \
-		| $(GO) run ./cmd/benchjson > BENCH_obs.json
+		| $(GO) run ./cmd/benchjson \
+			-ratio flight_unsampled_over_sampled=FlightVisitUnsampled/FlightVisitSampled > BENCH_obs.json
 	@cat BENCH_obs.json
 	$(MAKE) lintbudget
 	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Scheduled|Profiled)$$' -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/benchjson > BENCH_prof.json
+		| $(GO) run ./cmd/benchjson \
+			-ratio profile_overhead_profiled_over_scheduled=StudyRunProfiled/StudyRunScheduled > BENCH_prof.json
 	@cat BENCH_prof.json
 	( $(GO) test -run '^$$' -bench 'BenchmarkStore(Append|Replay)$$' -count=3 ./internal/store/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Scheduled|StoreBacked)$$' -benchtime=1x -count=3 . ) \
-		| $(GO) run ./cmd/benchjson > BENCH_store.json
+		| $(GO) run ./cmd/benchjson \
+			-ratio store_overhead_storebacked_over_scheduled=StudyRunStoreBacked/StudyRunScheduled > BENCH_store.json
 	@cat BENCH_store.json
-	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Serial|Sharded[124])$$' -benchtime=1x -count=3 . \
-		| $(GO) run ./cmd/benchjson > BENCH_shard.json
+	$(GO) test -run '^$$' -bench 'BenchmarkStudyRun(Scheduled|Sharded[124])$$' -benchtime=1x -count=3 . \
+		| $(GO) run ./cmd/benchjson \
+			-ratio sharded1_over_scheduled=StudyRunSharded1/StudyRunScheduled \
+			-ratio sharded2_over_scheduled=StudyRunSharded2/StudyRunScheduled \
+			-ratio sharded4_over_scheduled=StudyRunSharded4/StudyRunScheduled > BENCH_shard.json
 	@cat BENCH_shard.json
 # The fleet pair runs interleaved in separate processes: back-to-back
 # -count=3 in one process lets heap state from one variant bleed into
@@ -57,7 +67,8 @@ bench-json:
 	for i in 1 2 3; do \
 		$(GO) test -run '^$$' -bench 'BenchmarkStudyRunFleetTelemetryOn$$' -benchtime=1x -count=1 .; \
 		$(GO) test -run '^$$' -bench 'BenchmarkStudyRunFleetTelemetryOff$$' -benchtime=1x -count=1 .; \
-	done | $(GO) run ./cmd/benchjson > BENCH_fleet.json
+	done | $(GO) run ./cmd/benchjson \
+		-ratio fleet_telemetry_on_over_off=StudyRunFleetTelemetryOn/StudyRunFleetTelemetryOff > BENCH_fleet.json
 	@cat BENCH_fleet.json
 
 # lintbudget times the studylint suite — one full-module pass plus each

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,15 +11,16 @@ import (
 	"pornweb/internal/webgen"
 )
 
-// TestSerialCancellation pins the serial path's cancellation behaviour:
-// a dead context must stop the pipeline between stages instead of
-// grinding through every remaining crawl and analysis.
-func TestSerialCancellation(t *testing.T) {
+// TestCancelStopsBetweenStages pins the pipeline's mid-run cancellation
+// promise: with one stage worker, a context cancelled as the corpus stage
+// finishes lets no further stage start, and Run's error wraps
+// context.Canceled with no partial Results.
+func TestCancelStopsBetweenStages(t *testing.T) {
 	st, err := NewStudy(Config{
-		Params:  webgen.Params{Seed: 11, Scale: 0.01},
-		Workers: 2,
-		Serial:  true,
-		Timeout: 5 * time.Second,
+		Params:       webgen.Params{Seed: 11, Scale: 0.004},
+		Workers:      1,
+		StageWorkers: 1,
+		Timeout:      5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,21 +28,31 @@ func TestSerialCancellation(t *testing.T) {
 	defer st.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := st.Run(ctx)
-	if err == nil {
-		t.Fatal("serial Run with a pre-cancelled context returned nil error")
+	defer cancel()
+	var started []string
+	opts := st.stageOptions()
+	record := opts.OnStageDone
+	opts.OnStageStart = func(name string) { started = append(started, name) }
+	opts.OnStageDone = func(name string, took time.Duration, err error) {
+		record(name, took, err)
+		if name == "corpus" {
+			cancel()
+		}
 	}
+	res, err := st.runPipeline(ctx, opts)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("serial Run error = %v, want context.Canceled in its chain", err)
+		t.Fatalf("runPipeline error = %v, want context.Canceled in its chain", err)
 	}
 	if res != nil {
-		t.Fatalf("serial Run returned partial results %+v after cancellation", res)
+		t.Fatalf("runPipeline returned partial results after cancellation")
+	}
+	if want := []string{"corpus"}; !reflect.DeepEqual(started, want) {
+		t.Fatalf("stages started = %v, want only %v", started, want)
 	}
 }
 
-// TestScheduledCancellation does the same for the scheduler-driven path:
-// a pre-cancelled parent context means no stage runs at all.
+// TestScheduledCancellation: a pre-cancelled parent context means no
+// stage runs at all and Run returns the context's error.
 func TestScheduledCancellation(t *testing.T) {
 	st, err := NewStudy(Config{
 		Params:  webgen.Params{Seed: 11, Scale: 0.01},

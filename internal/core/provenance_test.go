@@ -17,14 +17,15 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // provCfg is the fixed small-study config every provenance test runs:
 // small enough to run several full studies per test binary, with a
-// non-default country list so the geo fan-out stages exist.
-func provCfg(seed uint64, serial bool) Config {
+// non-default country list so the geo fan-out stages exist. stageWorkers
+// 0 keeps the default (NumCPU).
+func provCfg(seed uint64, stageWorkers int) Config {
 	return Config{
-		Params:    webgen.Params{Seed: seed, Scale: 0.004},
-		Countries: []string{"ES", "US", "RU"},
-		Workers:   4,
-		Serial:    serial,
-		Timeout:   5 * time.Second,
+		Params:       webgen.Params{Seed: seed, Scale: 0.004},
+		Countries:    []string{"ES", "US", "RU"},
+		Workers:      4,
+		StageWorkers: stageWorkers,
+		Timeout:      5 * time.Second,
 	}
 }
 
@@ -58,33 +59,30 @@ func runManifest(t *testing.T, cfg Config) (*provenance.Manifest, []byte) {
 }
 
 // TestManifestDeterministic is the determinism gate in miniature: two
-// independent studies with the same config must write byte-identical
-// manifest.json files, and a scheduled run must match a serial one — the
-// schedule changes wall-clock, never provenance.
+// independent studies with the same results config — one running its
+// stages one at a time, one at the default stage-worker count — must
+// write byte-identical manifest.json files. The schedule changes
+// wall-clock, never provenance.
 func TestManifestDeterministic(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs four full studies")
+		t.Skip("runs three full studies")
 	}
-	mSerial, rawSerial := runManifest(t, provCfg(11, true))
-	_, rawSerial2 := runManifest(t, provCfg(11, true))
-	if !bytes.Equal(rawSerial, rawSerial2) {
-		t.Fatal("two serial runs with identical config produced different manifest.json bytes")
-	}
-	mSched, rawSched := runManifest(t, provCfg(11, false))
-	if !bytes.Equal(rawSerial, rawSched) {
-		d := provenance.Diff(mSerial, mSched)
+	mOne, rawOne := runManifest(t, provCfg(11, 1))
+	mDefault, rawDefault := runManifest(t, provCfg(11, 0))
+	if !bytes.Equal(rawOne, rawDefault) {
+		d := provenance.Diff(mOne, mDefault)
 		var buf bytes.Buffer
 		d.Format(&buf)
-		t.Fatalf("serial and scheduled manifests differ:\n%s", buf.String())
+		t.Fatalf("StageWorkers 1 and default manifests differ:\n%s", buf.String())
 	}
-	if d := provenance.Diff(mSerial, mSched); !d.Identical {
+	if d := provenance.Diff(mOne, mDefault); !d.Identical {
 		t.Fatalf("Diff of equal manifests not identical: %+v", d)
 	}
 
 	// A perturbed seed must diverge, and the DAG walk must pin the
 	// divergence on the earliest stage: the corpus every crawl consumed.
-	mOther, _ := runManifest(t, provCfg(13, true))
-	d := provenance.Diff(mSerial, mOther)
+	mOther, _ := runManifest(t, provCfg(13, 1))
+	d := provenance.Diff(mOne, mOther)
 	if d.Identical {
 		t.Fatal("runs with different seeds produced identical manifests")
 	}
@@ -109,7 +107,7 @@ func TestManifestDeterministic(t *testing.T) {
 // pipeline stage recorded, inputs wired from the DAG, corpora digested,
 // every figure present with a stage that exists.
 func TestManifestContents(t *testing.T) {
-	cfg := provCfg(11, false)
+	cfg := provCfg(11, 0)
 	m, _ := runManifest(t, cfg)
 
 	if m.Version != provenance.ManifestVersion {
@@ -159,7 +157,7 @@ func TestManifestContents(t *testing.T) {
 // scheme or the manifest schema shows up as a reviewable diff. Regenerate
 // with: go test ./internal/core -run TestManifestGolden -update
 func TestManifestGolden(t *testing.T) {
-	_, raw := runManifest(t, provCfg(11, true))
+	_, raw := runManifest(t, provCfg(11, 1))
 	golden := filepath.Join("testdata", "manifest.golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -78,16 +78,16 @@ func (st *Study) SyncEdgeThreshold() int {
 
 // Run executes the complete study: corpus compilation, the main dual
 // crawls from Spain, the US crawl for Table 8, the remaining geographic
-// crawls, and every analysis. By default the pipeline runs as a
-// dependency graph on the internal/sched scheduler — the two main crawls
+// crawls, and every analysis. The pipeline is one dependency graph
+// (buildPipeline) on the internal/sched scheduler — the two main crawls
 // overlap, every vantage crawl fans out as soon as the corpus lands, and
 // each analysis fires the moment its inputs resolve — bounded by
-// Config.StageWorkers. Config.Serial preserves the strictly sequential
-// historical order; both paths produce identical Results (pinned by the
-// schedule-equivalence tests). Every stage is traced (visible on /spans)
-// and timed into the study_stage_seconds histogram (visible on /metrics);
-// the scheduled path additionally records per-stage queue wait and the
-// in-flight gauge.
+// Config.StageWorkers. StageWorkers 1 runs the same graph one stage at a
+// time; every stage-worker count produces identical Results (pinned by
+// the schedule-equivalence tests). Every stage is traced (visible on
+// /spans), and its run time and queue wait land in the
+// study_stage_seconds and study_stage_wait_seconds histograms (visible
+// on /metrics).
 // Run also assembles the run's provenance: Study.Provenance (the
 // deterministic manifest — config fingerprint, corpus digests, per-stage
 // and per-figure record counts and content digests) and Study.RunInfo
@@ -96,15 +96,7 @@ func (st *Study) SyncEdgeThreshold() int {
 func (st *Study) Run(ctx context.Context) (*Results, error) {
 	st.prov.Reset()
 	start := st.clock()
-	var (
-		res *Results
-		err error
-	)
-	if st.Cfg.Serial {
-		res, err = st.runSerial(ctx)
-	} else {
-		res, err = st.runScheduled(ctx)
-	}
+	res, err := st.runPipeline(ctx, st.stageOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -114,173 +106,6 @@ func (st *Study) Run(ctx context.Context) (*Results, error) {
 	}
 	st.Provenance = m
 	st.RunInfo = st.buildRunInfo(start)
-	return res, nil
-}
-
-// runSerial is the historical one-stage-at-a-time pipeline, kept as the
-// reference schedule. A cancelled context stops it between stages: the
-// current stage finishes (crawls already dispatch nothing once cancelled)
-// and no further stage starts.
-func (st *Study) runSerial(ctx context.Context) (*Results, error) {
-	ctx = obs.WithTracer(ctx, st.Tracer)
-	ctx, root := obs.StartSpan(ctx, "study/run")
-	defer root.End()
-	res := &Results{}
-	opts := st.stageOptions()
-	stage := func(name string, fn func(context.Context) error) error {
-		return sched.RunStage(ctx, opts, name, fn)
-	}
-
-	// measure wraps one synchronous analysis as a traced, timed stage.
-	// Once the context dies it stops running stages; the error surfaces at
-	// the next checkpoint below, so a cancelled study stops grinding
-	// through the remaining analyses.
-	measure := func(name string, fn func()) {
-		if ctx.Err() != nil {
-			return
-		}
-		_ = stage(name, pure(fn)) // a pure stage cannot fail
-	}
-	// checkpoint returns the context's error, if any, wrapped once.
-	checkpoint := func() error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: pipeline cancelled: %w", err)
-		}
-		return nil
-	}
-
-	st.Log.Infof("compiling corpus...")
-	var corpus *Corpus
-	if err := stage("corpus", func(ctx context.Context) (err error) {
-		corpus, err = st.CompileCorpus(ctx)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: corpus: %w", err)
-	}
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-	res.Corpus = corpus
-	st.recordCorpusStage(corpus)
-	st.Log.Infof("corpus: %d candidates -> %d porn, %d reference",
-		corpus.Candidates, len(corpus.Porn), len(corpus.Reference))
-
-	measure("analysis/rank-stability", func() { res.Figure1 = st.RankStability(corpus.Porn) })
-
-	st.Log.Infof("main crawl (ES)...")
-	var pornES, regES, pornUS *CrawlResult
-	if err := stage("crawl/porn-ES", func(ctx context.Context) (err error) {
-		pornES, err = st.CrawlStage(ctx, corpus.Porn, "ES", "crawl/porn-ES", "porn")
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: porn crawl: %w", err)
-	}
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-	if err := stage("crawl/reference-ES", func(ctx context.Context) (err error) {
-		regES, err = st.CrawlStage(ctx, corpus.Reference, "ES", "crawl/reference-ES", "reference")
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: regular crawl: %w", err)
-	}
-	regularTP := map[string]bool{}
-	for _, h := range regES.allThirdPartyHosts() {
-		regularTP[h] = true
-	}
-
-	measure("analysis/third-parties", func() {
-		res.Table2 = st.AnalyzeThirdParties(pornES, regES)
-		res.Table3 = st.AnalyzePopularityIntervals(pornES)
-		res.SharedAllIntervals, res.SharedAllIntervalsTotal = st.SharedAcrossAllIntervals(pornES)
-	})
-
-	measure("analysis/organizations", func() {
-		rows, cov := st.AnalyzeOrganizations(pornES, regES, 19)
-		res.Figure3 = rows
-		if cov.Hosts > 0 {
-			res.AttributionRate = float64(cov.Attributed) / float64(cov.Hosts)
-			res.DisconnectOnlyRate = float64(cov.DisconnectOnly) / float64(cov.Hosts)
-		}
-		res.AttributionCompanies = len(cov.Companies)
-	})
-
-	measure("analysis/cookies", func() { res.CookieCensus, res.Table4 = st.AnalyzeCookies(pornES, regularTP) })
-	measure("analysis/cookie-sync", func() { res.Figure4 = st.AnalyzeCookieSync(pornES, st.SyncEdgeThreshold()) })
-	measure("analysis/fingerprinting", func() { res.Fingerprinting = st.AnalyzeFingerprinting(pornES, regularTP) })
-	measure("analysis/https", func() { res.Table6 = st.AnalyzeHTTPS(pornES) })
-	measure("analysis/malware", func() { res.Malware = st.AnalyzeMalware(pornES) })
-	measure("analysis/monetization", func() { res.Monetization = st.AnalyzeMonetization(pornES) })
-	measure("analysis/blocking", func() { res.Blocking = st.AnalyzeBlocking(pornES) })
-	measure("analysis/rta", func() { res.RTA = st.AnalyzeRTA(pornES) })
-	measure("analysis/chains", func() { res.Chains = st.AnalyzeInclusionChains(pornES) })
-	measure("analysis/storage", func() { res.Storage = st.AnalyzeStorage(pornES) })
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("banner crawl (US)...")
-	if err := stage("crawl/porn-US", func(ctx context.Context) (err error) {
-		pornUS, err = st.CrawlStage(ctx, corpus.Porn, "US", "crawl/porn-US", "porn")
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: US crawl: %w", err)
-	}
-	measure("analysis/banners", func() {
-		res.Table8ES = st.AnalyzeBanners(pornES)
-		res.Table8US = st.AnalyzeBanners(pornUS)
-	})
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("interactive crawl (ES)...")
-	var interactive map[string]*browser.InteractiveVisit
-	if err := stage("crawl/interactive-ES", func(ctx context.Context) (err error) {
-		interactive, err = st.InteractiveCrawlStage(ctx, corpus.Porn, "ES", "crawl/interactive-ES")
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: interactive crawl: %w", err)
-	}
-	measure("analysis/policies", func() {
-		topTracking := st.TopTrackingSites(pornES, 25)
-		res.Policies = st.AnalyzePolicies(interactive, topTracking, pornES.thirdPartyHostsBySite())
-	})
-	measure("analysis/owners", func() { res.Table1 = st.AnalyzeOwners(pornES, interactive, 15) })
-	measure("analysis/validation", func() { res.Validation = st.ValidateAgainstTruth(pornES, interactive, res.Table1) })
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("age verification (US/UK/ES/RU)...")
-	if err := stage("analysis/age-verification", func(ctx context.Context) (err error) {
-		res.AgeVerification, err = st.AnalyzeAgeVerification(ctx, corpus.Porn)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: age verification: %w", err)
-	}
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	st.Log.Infof("geographic crawls...")
-	crawls := map[string]*CrawlResult{
-		"ES": pornES,
-		"US": pornUS,
-	}
-	if err := stage("analysis/geo", func(ctx context.Context) (err error) {
-		res.Table7, err = st.AnalyzeGeo(ctx, corpus.Porn, regularTP, crawls)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("core: geo: %w", err)
-	}
-	if err := checkpoint(); err != nil {
-		return nil, err
-	}
-
-	// AnalyzeGeo filled crawls with every vantage, so the robustness
-	// summary covers the whole study.
-	measure("analysis/robustness", func() { res.Robustness = st.AnalyzeRobustness(crawls) })
 	return res, nil
 }
 
@@ -314,28 +139,26 @@ func newPipeState() *pipeState {
 	}
 }
 
-// runScheduled executes the pipeline as an explicit dependency graph: the
-// porn and reference crawls overlap, the US, interactive,
-// age-verification and geographic vantage crawls all fan out the moment
-// the corpus lands, and every analysis fires as soon as its inputs
-// resolve. The graph is data-equivalent to runSerial — each Results field
-// is written by exactly one stage, and every edge mirrors a true data
-// dependency — so scheduling changes wall-clock, never results.
-func (st *Study) runScheduled(ctx context.Context) (*Results, error) {
+// runPipeline executes buildPipeline's graph under opts and returns the
+// Results its stages filled. A cancelled context stops it between
+// stages: in-flight stages finish (crawls dispatch nothing once
+// cancelled), no further stage starts, and the context's error comes
+// back with nil Results.
+func (st *Study) runPipeline(ctx context.Context, opts sched.Options) (*Results, error) {
 	ctx = obs.WithTracer(ctx, st.Tracer)
 	ctx, root := obs.StartSpan(ctx, "study/run")
 	defer root.End()
 
 	ps := newPipeState()
-	if err := st.buildPipeline(ps).Run(ctx, st.stageOptions()); err != nil {
+	if err := st.buildPipeline(ps).Run(ctx, opts); err != nil {
 		return nil, err
 	}
 	return ps.res, nil
 }
 
-// stageOptions is the per-stage instrumentation both schedules share:
-// sched.RunStage's metrics and debug events, plus each stage's wall time
-// into the runinfo.json sidecar.
+// stageOptions is the scheduler configuration for a study run: the
+// stage-worker bound, the per-stage metrics and debug events, and each
+// stage's wall time into the runinfo.json sidecar.
 func (st *Study) stageOptions() sched.Options {
 	return sched.Options{
 		Workers: st.Cfg.StageWorkers,
@@ -353,8 +176,10 @@ func pure(fn func()) func(context.Context) error {
 }
 
 // buildPipeline declares the full study DAG over the given state. It is
-// the single source of truth for the scheduled pipeline's shape and for
-// the stage inputs BuildManifest publishes.
+// the single source of truth for the pipeline's shape and for the stage
+// inputs BuildManifest publishes. Each Results field is written by
+// exactly one stage and every edge mirrors a true data dependency, so
+// the schedule changes wall-clock, never results.
 func (st *Study) buildPipeline(ps *pipeState) *sched.Graph {
 	res := ps.res
 	addCrawl := func(country string, cr *CrawlResult) {

@@ -37,13 +37,10 @@ type Config struct {
 	Workers int
 	// StageWorkers bounds how many *pipeline stages* (vantage crawls and
 	// analyses) the DAG scheduler runs concurrently; 0 defaults to
-	// runtime.NumCPU(). Orthogonal to Workers: total in-flight page loads
-	// peak at StageWorkers x Workers.
+	// runtime.NumCPU(), and 1 runs the stages strictly one at a time.
+	// Orthogonal to Workers: total in-flight page loads peak at
+	// StageWorkers x Workers.
 	StageWorkers int
-	// Serial disables the DAG scheduler and runs every pipeline stage
-	// strictly sequentially — the historical execution order, kept as the
-	// reference schedule for the equivalence tests.
-	Serial bool
 	// Timeout bounds a single page load (the paper used 120 s; the
 	// loopback substrate needs far less).
 	Timeout time.Duration

@@ -282,7 +282,7 @@ func (g *Graph) Run(parent context.Context, opts Options) error {
 				opts.Metrics.Histogram("study_stage_wait_seconds", obs.WaitBuckets,
 					"stage", s.name).Observe(time.Since(r.at).Seconds())
 				inflight.Add(1)
-				err := RunStage(ctx, opts, s.name, s.fn)
+				err := runStage(ctx, opts, s.name, s.fn)
 				inflight.Add(-1)
 				done <- doneItem{idx: r.idx, err: err}
 			}
@@ -325,15 +325,14 @@ func (g *Graph) Run(parent context.Context, opts Options) error {
 	return parent.Err()
 }
 
-// RunStage runs one pipeline stage with the study's per-stage
+// runStage runs one pipeline stage with the study's per-stage
 // instrumentation: a pprof "stage" label on the calling goroutine (and
 // every goroutine the stage spawns), a stage/<name> span under the
 // context's tracer, the study_stage_seconds histogram, the
 // study_stage_* resource metrics, a debug event, and the Options
-// callbacks. Graph.Run calls it for every stage it dispatches; a caller
-// that orders stages by hand calls it directly so both schedules are
-// instrumented identically. It returns fn's error unwrapped.
-func RunStage(ctx context.Context, opts Options, name string, fn func(context.Context) error) error {
+// callbacks. Graph.Run calls it for every stage it dispatches. It
+// returns fn's error unwrapped.
+func runStage(ctx context.Context, opts Options, name string, fn func(context.Context) error) error {
 	opts.Metrics.Describe("study_stage_seconds", "Pipeline stage run time in seconds.")
 	if opts.OnStageStart != nil {
 		opts.OnStageStart(name)

@@ -480,17 +480,17 @@ func TestStageResourceMetrics(t *testing.T) {
 	}
 }
 
-// TestRunStageDirect: a stage run by hand through RunStage (the serial
-// reference schedule's path) gets the same instrumentation as one the
-// graph dispatches — pprof label, stage span, run-time histogram and
-// OnStageDone — and its error comes back unwrapped.
+// TestRunStageDirect: the per-stage wrapper on its own applies the
+// instrumentation every dispatched stage gets — pprof label, stage span,
+// run-time histogram and OnStageDone — and returns the stage's error
+// unwrapped (Graph.Run wraps it in a StageError).
 func TestRunStageDirect(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(8)
 	boom := errors.New("boom")
 	var label string
 	var doneErr error
-	err := RunStage(obs.WithTracer(context.Background(), tr), Options{
+	err := runStage(obs.WithTracer(context.Background(), tr), Options{
 		Metrics:     reg,
 		OnStageDone: func(_ string, _ time.Duration, err error) { doneErr = err },
 	}, "analysis/x", func(ctx context.Context) error {
@@ -498,7 +498,7 @@ func TestRunStageDirect(t *testing.T) {
 		return boom
 	})
 	if err != boom || doneErr != boom {
-		t.Fatalf("RunStage error = %v, OnStageDone saw %v, want %v unwrapped", err, doneErr, boom)
+		t.Fatalf("runStage error = %v, OnStageDone saw %v, want %v unwrapped", err, doneErr, boom)
 	}
 	if label != "analysis/x" {
 		t.Errorf("stage ran with label %q, want analysis/x", label)

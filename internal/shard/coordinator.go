@@ -354,7 +354,7 @@ func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	alreadyClosed := c.closed
 	c.closed = true
-	srv := c.srv
+	srv, ln := c.srv, c.ln
 	c.srv = nil
 	c.ln = nil
 	var remotes []*RemoteWorker
@@ -374,7 +374,13 @@ func (c *Coordinator) Close() error {
 	if srv == nil {
 		return nil
 	}
-	if err := srv.Close(); err != nil {
+	err := srv.Close()
+	// Serve runs on its own goroutine and may not have taken ownership
+	// of ln yet, in which case srv.Close cannot see it; closing ln here
+	// frees the address before Close returns. When srv.Close already
+	// closed it, this second close only reports that, so it is dropped.
+	_ = ln.Close()
+	if err != nil {
 		return fmt.Errorf("shard: coordinator close: %w", err)
 	}
 	return nil

@@ -1,9 +1,10 @@
-// Pipeline-level benchmarks: the whole study end to end, serial vs
-// scheduled. `make bench-json` runs exactly these two and folds the
-// timings into BENCH_pipeline.json (ns/op per path plus the speedup
-// ratio). The scheduled path's advantage scales with cores — on a
-// single-CPU machine the two are expected to tie, since every stage is
-// CPU-bound loopback work.
+// Pipeline-level benchmarks: the whole study end to end on the one
+// pipeline graph, at the default stage-worker count and at StageWorkers
+// 1 (stages one at a time). `make bench-json` folds the pair into
+// BENCH_pipeline.json (ns/op per run plus the
+// stageworkers1_over_scheduled ratio). Stage overlap pays off with
+// cores — on a single-CPU machine the two are expected to tie, since
+// every stage is CPU-bound loopback work.
 package pornweb_test
 
 import (
@@ -24,13 +25,15 @@ import (
 // size where one full run takes a few seconds.
 const pipelineBenchScale = 0.01
 
-func benchStudy(b *testing.B, serial bool) {
+// benchStudy runs the pipeline with the given stage-worker bound (0 =
+// NumCPU).
+func benchStudy(b *testing.B, stageWorkers int) {
 	b.Helper()
 	st, err := core.NewStudy(core.Config{
-		Params:  webgen.Params{Seed: 2019, Scale: pipelineBenchScale},
-		Workers: 8,
-		Serial:  serial,
-		Timeout: 20 * time.Second,
+		Params:       webgen.Params{Seed: 2019, Scale: pipelineBenchScale},
+		Workers:      8,
+		StageWorkers: stageWorkers,
+		Timeout:      20 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -45,8 +48,8 @@ func benchStudy(b *testing.B, serial bool) {
 	}
 }
 
-func BenchmarkStudyRunSerial(b *testing.B)    { benchStudy(b, true) }
-func BenchmarkStudyRunScheduled(b *testing.B) { benchStudy(b, false) }
+func BenchmarkStudyRunStageWorkers1(b *testing.B) { benchStudy(b, 1) }
+func BenchmarkStudyRunScheduled(b *testing.B)     { benchStudy(b, 0) }
 
 // benchShardedStudy is the pipeline with every crawl stage partitioned
 // into 8 shards dispatched across an in-process fleet of the given
@@ -54,7 +57,7 @@ func BenchmarkStudyRunScheduled(b *testing.B) { benchStudy(b, false) }
 // (each wave deals one shard per live worker, and a worker visits its
 // shard sequentially), so the workers-1/2/4 series in BENCH_shard.json
 // shows how crawl wall-clock scales with fleet size while the merged
-// results stay byte-identical to serial.
+// results stay byte-identical to an unsharded run.
 func benchShardedStudy(b *testing.B, workers int) {
 	b.Helper()
 	st, err := core.NewStudy(core.Config{

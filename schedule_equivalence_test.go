@@ -1,8 +1,9 @@
 // Schedule-equivalence harness: the DAG scheduler must change wall-clock
-// only, never results. The serial path (the historical stage order) is
-// the reference schedule; the scheduled path must reproduce the exact
-// same Results struct and a byte-identical rendered report at every
-// worker count. Run under -race this also shakes out data races between
+// only, never results. The reference schedule is the pipeline graph with
+// one stage worker and one crawl worker, so stages and page visits both
+// run one at a time; runs that overlap stages and interleave visits must
+// reproduce the exact same Results struct and a byte-identical rendered
+// report. Run under -race this also shakes out data races between
 // concurrently scheduled stages.
 package pornweb_test
 
@@ -19,25 +20,23 @@ import (
 	"pornweb/internal/webgen"
 )
 
-// equivScale keeps the four full pipeline runs affordable in CI while
+// equivScale keeps the three full pipeline runs affordable in CI while
 // staying large enough that registrable-domain collisions between
 // long-tail asset hosts occur — scale 0.01 missed the cert-attribution
 // tie-break bug that this harness exists to catch.
 const equivScale = 0.02
 
 // runPipeline executes the complete study once and renders the full
-// report. Crawl Workers is deliberately concurrent: per-visit cookie
-// jars and order-independent analyses make results insensitive to
-// intra-crawl visit order, so equivalence must hold even when page
-// visits within a stage interleave freely (this harness used to pin
-// Workers to 1 before visit-order independence was established).
-func runPipeline(t *testing.T, serial bool, stageWorkers int) (*core.Results, []byte) {
+// report. workers is the crawl parallelism: per-visit cookie jars and
+// order-independent analyses make results insensitive to intra-crawl
+// visit order, so equivalence must hold even when page visits within a
+// stage interleave freely.
+func runPipeline(t *testing.T, stageWorkers, workers int) (*core.Results, []byte) {
 	t.Helper()
 	st, err := core.NewStudy(core.Config{
 		Params:       webgen.Params{Seed: 2019, Scale: equivScale},
-		Workers:      8,
+		Workers:      workers,
 		StageWorkers: stageWorkers,
-		Serial:       serial,
 		Timeout:      20 * time.Second,
 	})
 	if err != nil {
@@ -46,35 +45,36 @@ func runPipeline(t *testing.T, serial bool, stageWorkers int) (*core.Results, []
 	defer st.Close()
 	res, err := st.Run(context.Background())
 	if err != nil {
-		t.Fatalf("Run(serial=%v, stageWorkers=%d): %v", serial, stageWorkers, err)
+		t.Fatalf("Run(stageWorkers=%d, workers=%d): %v", stageWorkers, workers, err)
 	}
 	var buf bytes.Buffer
 	report.All(&buf, res)
 	return res, buf.Bytes()
 }
 
-// TestScheduleEquivalence pins the scheduled pipeline to the serial
-// reference: identical Results and byte-identical report for 1, 4 and 16
-// stage workers.
+// TestScheduleEquivalence pins the concurrent pipeline to the
+// one-at-a-time reference (StageWorkers 1, Workers 1): identical Results
+// and byte-identical report for 4 and 16 stage workers at 8 crawl
+// workers.
 func TestScheduleEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full pipeline four times; skipped in -short")
+		t.Skip("runs the full pipeline three times; skipped in -short")
 	}
-	refRes, refReport := runPipeline(t, true, 0)
+	refRes, refReport := runPipeline(t, 1, 1)
 	if len(refReport) == 0 {
-		t.Fatal("serial reference rendered an empty report")
+		t.Fatal("reference schedule rendered an empty report")
 	}
-	for _, workers := range []int{1, 4, 16} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			res, rep := runPipeline(t, false, workers)
+	for _, stageWorkers := range []int{4, 16} {
+		stageWorkers := stageWorkers
+		t.Run(fmt.Sprintf("workers=%d", stageWorkers), func(t *testing.T) {
+			res, rep := runPipeline(t, stageWorkers, 8)
 			if !bytes.Equal(refReport, rep) {
-				t.Errorf("rendered report diverged from serial reference (serial %d bytes, scheduled %d bytes)",
+				t.Errorf("rendered report diverged from the reference schedule (reference %d bytes, scheduled %d bytes)",
 					len(refReport), len(rep))
 				logFirstDiff(t, refReport, rep)
 			}
 			if !reflect.DeepEqual(refRes, res) {
-				t.Error("Results struct diverged from serial reference")
+				t.Error("Results struct diverged from the reference schedule")
 			}
 		})
 	}
@@ -92,9 +92,9 @@ func logFirstDiff(t *testing.T, want, got []byte) {
 	}
 	for i := 0; i < n; i++ {
 		if !bytes.Equal(wl[i], gl[i]) {
-			t.Logf("first divergence at line %d:\n  serial:    %q\n  scheduled: %q", i+1, wl[i], gl[i])
+			t.Logf("first divergence at line %d:\n  reference: %q\n  scheduled: %q", i+1, wl[i], gl[i])
 			return
 		}
 	}
-	t.Logf("renderings agree for %d lines; lengths differ (serial %d lines, scheduled %d lines)", n, len(wl), len(gl))
+	t.Logf("renderings agree for %d lines; lengths differ (reference %d lines, scheduled %d lines)", n, len(wl), len(gl))
 }

@@ -1,5 +1,5 @@
 // Shard-equivalence harness: sharding a crawl across a worker fleet
-// must change wall-clock only, never results. The serial path is the
+// must change wall-clock only, never results. The unsharded run is the
 // reference; a sharded run must reproduce the exact same Results
 // struct, a byte-identical rendered report, and a byte-identical
 // provenance manifest at every shard count — and a fleet that loses a
@@ -66,7 +66,7 @@ func runShardedPipeline(t *testing.T, cfg core.Config) *shardedRun {
 	return r
 }
 
-// TestShardEquivalence pins the sharded pipeline to the serial
+// TestShardEquivalence pins the sharded pipeline to the unsharded
 // reference at collision-manifesting scale: identical Results,
 // byte-identical report and byte-identical manifest for 2, 4 and 8
 // shards dispatched across an in-process fleet.
@@ -81,10 +81,10 @@ func TestShardEquivalence(t *testing.T) {
 	}
 	ref := runShardedPipeline(t, base)
 	if len(ref.report) == 0 {
-		t.Fatal("serial reference rendered an empty report")
+		t.Fatal("unsharded reference rendered an empty report")
 	}
 	if ref.shards != nil {
-		t.Fatal("serial reference produced a shard manifest")
+		t.Fatal("unsharded reference produced a shard manifest")
 	}
 	for _, shards := range []int{2, 4, 8} {
 		shards := shards
@@ -93,16 +93,16 @@ func TestShardEquivalence(t *testing.T) {
 			cfg.Shards = shards
 			got := runShardedPipeline(t, cfg)
 			if !bytes.Equal(ref.manifest, got.manifest) {
-				t.Errorf("manifest diverged from serial reference (serial %d bytes, sharded %d bytes)",
+				t.Errorf("manifest diverged from unsharded reference (unsharded %d bytes, sharded %d bytes)",
 					len(ref.manifest), len(got.manifest))
 				logFirstDiff(t, ref.manifest, got.manifest)
 			}
 			if !bytes.Equal(ref.report, got.report) {
-				t.Errorf("rendered report diverged from serial reference")
+				t.Errorf("rendered report diverged from unsharded reference")
 				logFirstDiff(t, ref.report, got.report)
 			}
 			if !reflect.DeepEqual(ref.res, got.res) {
-				t.Error("Results struct diverged from serial reference")
+				t.Error("Results struct diverged from unsharded reference")
 			}
 			if got.shards == nil || len(got.shards.Stages) == 0 {
 				t.Fatal("sharded run recorded no shard manifest")
