@@ -3,7 +3,7 @@ STATICCHECK_VERSION ?= 2023.1.7
 
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test perfbench race bench bench-json lintbudget fuzz lint staticcheck determinism crashsafety shardci profile ci
+.PHONY: all build vet test perfbench benchpair race bench bench-json lintbudget fuzz lint staticcheck determinism crashsafety shardci profile ci
 
 all: vet lint test
 
@@ -22,6 +22,38 @@ test:
 perfbench:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+
+# benchpair measures a change against a base commit by the pairing
+# rule: PAIRS pairs of perfbench runs of WORKLOAD at SEED, one run on
+# BASE and one on the working tree per pair, alternating which side goes
+# first, then cmd/benchpair prints each end-to-end metric's median and
+# quartiles per side, the pairs the change won and a verdict. BASE is
+# checked out from its committed files (git archive) into
+# $(BENCHPAIR_DIR)/base; each run's output lands in
+# $(BENCHPAIR_DIR)/runs. Runs last BENCHMARK.json's run_seconds (20).
+#
+#   make benchpair WORKLOAD=crawl-cold PAIRS=10 BASE=HEAD~1 SEED=2019
+WORKLOAD ?= crawl-cold
+PAIRS ?= 10
+BASE ?= HEAD~1
+SEED ?= 2019
+BENCHPAIR_DIR ?= .benchpair
+benchpair:
+	rm -rf $(BENCHPAIR_DIR)
+	mkdir -p $(BENCHPAIR_DIR)/base $(BENCHPAIR_DIR)/runs
+	git archive $(BASE) | tar -x -C $(BENCHPAIR_DIR)/base
+	@set -e; change=$$(pwd); base=$$(cd $(BENCHPAIR_DIR)/base && pwd); \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			dir=$$change; [ $$side = base ] && dir=$$base; \
+			echo "benchpair: pair $$i/$(PAIRS) $$side"; \
+			( cd $$dir && bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace 0 ) \
+				> $(BENCHPAIR_DIR)/runs/$$i-$$side.json 2> $(BENCHPAIR_DIR)/runs/$$i-$$side.err; \
+		done; \
+	done
+	@echo "benchpair: $(WORKLOAD), seed $(SEED), base $(BASE) vs working tree"
+	$(GO) run ./cmd/benchpair -benchmark BENCHMARK.json $(BENCHPAIR_DIR)/runs
 
 race:
 	$(GO) test -race ./...

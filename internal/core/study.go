@@ -191,6 +191,10 @@ type Study struct {
 	shardMu     sync.Mutex
 	shardStages map[string]provenance.ShardStage
 
+	// transport is the one connection pool every crawl session of the
+	// study sends its requests through.
+	transport *http.Transport
+
 	prov  *provenance.Recorder
 	admin *obs.AdminServer
 	// clock is the study's injected time source (wall-clock reads are
@@ -227,16 +231,17 @@ func NewStudy(cfg Config) (*Study, error) {
 	merged := blocklist.Merge("easylist+easyprivacy", el, ep)
 	merged.Instrument(reg)
 	st := &Study{
-		Cfg:      cfg,
-		Eco:      eco,
-		Srv:      srv,
-		Rank:     eco.RankingDataset(),
-		EasyList: merged,
-		Metrics:  reg,
-		Tracer:   tracer,
-		Log:      logger,
-		prov:     provenance.NewRecorder(),
-		clock:    time.Now,
+		Cfg:       cfg,
+		Eco:       eco,
+		Srv:       srv,
+		Rank:      eco.RankingDataset(),
+		EasyList:  merged,
+		Metrics:   reg,
+		Tracer:    tracer,
+		Log:       logger,
+		transport: crawler.NewTransport(srv.DialContext, srv.CertPool()),
+		prov:      provenance.NewRecorder(),
+		clock:     time.Now,
 	}
 	if !cfg.FlightOff {
 		st.Flight = obs.NewFlightRecorder(cfg.FlightBuffer, cfg.FlightSample, cfg.FlightSink).CountIn(reg)
@@ -346,8 +351,9 @@ func NewStudy(cfg Config) (*Study, error) {
 // was unset.
 func (st *Study) AdminAddr() string { return st.admin.Addr() }
 
-// Close shuts the server (and the admin listener, if any) down and
-// checkpoints and closes the durable store when one is open.
+// Close closes the crawl sessions' idle connections, shuts the server (and
+// the admin listener, if any) down, and checkpoints and closes the durable
+// store when one is open.
 func (st *Study) Close() {
 	if st.coord != nil {
 		if err := st.coord.Close(); err != nil {
@@ -362,6 +368,7 @@ func (st *Study) Close() {
 			st.Log.Event(obs.LevelWarn, "store close failed", "err", err.Error())
 		}
 	}
+	st.transport.CloseIdleConnections()
 	st.Srv.Close()
 }
 
@@ -374,14 +381,13 @@ func (st *Study) VisitStore() store.Store { return st.store }
 // phase.
 func (st *Study) session(country, phase string) (*crawler.Session, error) {
 	return crawler.NewSession(crawler.Config{
-		DialContext: st.Srv.DialContext,
-		RootCAs:     st.Srv.CertPool(),
-		Country:     country,
-		Phase:       phase,
-		Timeout:     st.Cfg.Timeout,
-		Metrics:     st.Metrics,
-		Retry:       st.Cfg.Resilience,
-		PageBudget:  st.Cfg.PageBudget,
-		Flight:      st.Flight,
+		Transport:  st.transport,
+		Country:    country,
+		Phase:      phase,
+		Timeout:    st.Cfg.Timeout,
+		Metrics:    st.Metrics,
+		Retry:      st.Cfg.Resilience,
+		PageBudget: st.Cfg.PageBudget,
+		Flight:     st.Flight,
 	})
 }

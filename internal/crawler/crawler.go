@@ -93,6 +93,11 @@ type Result struct {
 
 // Config configures a crawl session.
 type Config struct {
+	// Transport, when non-nil, is the connection pool the session sends
+	// every request through, shared with other sessions (see
+	// NewTransport); DialContext and RootCAs are then unused. Nil builds
+	// a private pool from DialContext and RootCAs.
+	Transport *http.Transport
 	// DialContext resolves hostnames (the webserver's resolver).
 	DialContext func(ctx context.Context, network, addr string) (net.Conn, error)
 	// RootCAs trusts the substrate CA.
@@ -239,6 +244,35 @@ func newSessionMetrics(reg *obs.Registry, country string) sessionMetrics {
 	return m
 }
 
+// NewTransport builds the connection pool crawl sessions send requests
+// through, dialing every host with dial and trusting roots for TLS
+// (either may be nil for the net/http defaults). The transport carries no
+// session state: vantage country, crawl phase and User-Agent travel as
+// per-request headers and each request is given its visited site's own
+// cookie jar, so every session of a study can share one pool.
+//
+// The pool is tuned for a crawl that contacts tens of thousands of
+// distinct hostnames behind one loopback server. It pools per hostname,
+// so the default small global idle cap (100) would evict-and-close
+// thousands of connections per second: every close burns a client
+// ephemeral port for a TIME_WAIT interval and a paper-scale crawl
+// exhausts the port range within seconds. Unlimited idle connections
+// with a short idle timeout keep hot tracker connections warm (ExoClick
+// is contacted from 43% of sites) while one-shot connections drain
+// gradually instead of in bursts.
+func NewTransport(dial func(ctx context.Context, network, addr string) (net.Conn, error), roots *x509.CertPool) *http.Transport {
+	tr := &http.Transport{
+		MaxIdleConns:        0, // unlimited
+		MaxIdleConnsPerHost: 8,
+		IdleConnTimeout:     15 * time.Second,
+		DialContext:         dial,
+	}
+	if roots != nil {
+		tr.TLSClientConfig = &tls.Config{RootCAs: roots}
+	}
+	return tr
+}
+
 // NewSession builds a session. Cookie state is kept per visited site —
 // each top-level visit starts from a fresh jar, matching the paper's
 // stateless OpenWPM crawls (a new browser profile per visit). A jar
@@ -246,27 +280,17 @@ func newSessionMetrics(reg *obs.Registry, country string) sessionMetrics {
 // scheduling: concurrent visits race on which site's requests already
 // carry a tracker's cookie, and the ecosystem answers first contact and
 // repeat contact differently.
+//
+// Requests go through cfg.Transport. When it is nil the session builds a
+// private pool with NewTransport, which lives as long as the session; a
+// caller running many sessions passes one shared transport instead, so
+// warm connections to the trackers every site embeds are kept once, not
+// once per session, and closes its idle connections when done.
 func NewSession(cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
-	// Connection pooling is tuned for a crawl that contacts tens of
-	// thousands of distinct hostnames behind one loopback server. The
-	// transport pools per hostname, so the default small global idle cap
-	// (100) would evict-and-close thousands of connections per second —
-	// every close burns a client ephemeral port for a TIME_WAIT interval
-	// and a paper-scale crawl exhausts the port range within seconds.
-	// Unlimited idle connections with a short idle timeout keeps hot
-	// tracker connections warm (ExoClick is contacted from 43% of sites)
-	// while one-shot connections drain gradually instead of in bursts.
-	tr := &http.Transport{
-		MaxIdleConns:        0, // unlimited
-		MaxIdleConnsPerHost: 8,
-		IdleConnTimeout:     15 * time.Second,
-	}
-	if cfg.DialContext != nil {
-		tr.DialContext = cfg.DialContext
-	}
-	if cfg.RootCAs != nil {
-		tr.TLSClientConfig = &tls.Config{RootCAs: cfg.RootCAs}
+	tr := cfg.Transport
+	if tr == nil {
+		tr = NewTransport(cfg.DialContext, cfg.RootCAs)
 	}
 	s := &Session{
 		cfg:        cfg,

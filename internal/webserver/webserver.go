@@ -67,8 +67,10 @@ type Server struct {
 	met serverMetrics
 
 	mu sync.Mutex
+	// certs holds one minting slot per TLS host; the slot, not mu,
+	// serializes the minting itself.
 	// guarded by mu
-	certs map[string]*tls.Certificate
+	certs map[string]*certSlot
 	// vhosts holds per-service-host request counters.
 	// guarded by mu
 	vhosts map[string]*obs.Counter
@@ -88,6 +90,9 @@ type serverMetrics struct {
 	certsMinted *obs.Counter
 	refusals    *obs.Counter
 	errLogLines *obs.Counter
+	connsTLS    *obs.Counter
+	connsPlain  *obs.Counter
+	connsOpen   *obs.Gauge
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
@@ -103,6 +108,8 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 	reg.Describe("webserver_error_log_lines_total", "lines net/http wrote to the server error log")
 	reg.Describe("webserver_faults_injected_total", "chaos faults injected on the wire, by kind")
 	reg.Describe("webserver_vhost_faults_total", "faults injected per third-party service virtual host")
+	reg.Describe("webserver_connections_total", "client connections accepted, by listener")
+	reg.Describe("webserver_connections_open", "client connections accepted and not yet closed or hijacked")
 	return serverMetrics{
 		reqSite:     reg.Counter("webserver_requests_total", "kind", "site"),
 		reqService:  reg.Counter("webserver_requests_total", "kind", "service"),
@@ -113,6 +120,9 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		certsMinted: reg.Counter("webserver_certs_minted_total"),
 		refusals:    reg.Counter("webserver_refused_total"),
 		errLogLines: reg.Counter("webserver_error_log_lines_total"),
+		connsTLS:    reg.Counter("webserver_connections_total", "listener", "tls"),
+		connsPlain:  reg.Counter("webserver_connections_total", "listener", "plain"),
+		connsOpen:   reg.Gauge("webserver_connections_open"),
 	}
 }
 
@@ -138,7 +148,7 @@ func WithLogger(l *obs.Logger) Option {
 func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 	s := &Server{
 		Eco:    eco,
-		certs:  map[string]*tls.Certificate{},
+		certs:  map[string]*certSlot{},
 		vhosts: map[string]*obs.Counter{},
 		closed: make(chan struct{}),
 	}
@@ -168,8 +178,10 @@ func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 	// counted and forwarded to the obs logger at debug level rather than
 	// printed to stderr.
 	errLog := log.New(s.log.WithComponent("webserver").StdWriter(obs.LevelDebug, s.met.errLogLines), "", 0)
-	s.httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, ErrorLog: errLog}
-	s.httpsSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, ErrorLog: errLog}
+	s.httpSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, ErrorLog: errLog,
+		ConnState: s.connState(s.met.connsPlain)}
+	s.httpsSrv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, ErrorLog: errLog,
+		ConnState: s.connState(s.met.connsTLS)}
 	// serveUnder labels the accept-loop goroutine; every per-connection
 	// goroutine net/http spawns from it inherits the label set, so the
 	// whole server side — TLS handshakes, request parsing, handlers,
@@ -253,9 +265,19 @@ func (s *Server) initCA() error {
 
 var errNoTLS = errors.New("webserver: host does not support TLS")
 
+// certSlot mints one host's leaf certificate at most once; handshakes
+// racing for the same host wait on once and then share cert and err.
+type certSlot struct {
+	once sync.Once
+	cert *tls.Certificate
+	err  error
+}
+
 // getCertificate issues (and caches) a leaf certificate for the SNI host,
 // carrying the organization the ecosystem planted for it. HTTP-only hosts
-// get a handshake failure.
+// get a handshake failure. s.mu is held only to find the host's slot:
+// key generation and signing run outside it, so handshakes to other hosts
+// and the per-request telemetry never wait behind a mint.
 func (s *Server) getCertificate(hello *tls.ClientHelloInfo) (*tls.Certificate, error) {
 	host := strings.ToLower(hello.ServerName)
 	if host == "" || !s.Eco.HTTPSCapable(host) {
@@ -264,20 +286,25 @@ func (s *Server) getCertificate(hello *tls.ClientHelloInfo) (*tls.Certificate, e
 		return nil, errNoTLS
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.certs[host]; ok {
-		s.met.tlsServed.Inc()
-		return c, nil
+	slot, ok := s.certs[host]
+	if !ok {
+		slot = &certSlot{}
+		s.certs[host] = slot
 	}
-	c, err := s.issue(host)
-	if err != nil {
-		s.log.Event(obs.LevelError, "cert minting failed", "host", host, "err", err)
-		return nil, err
+	s.mu.Unlock()
+	slot.once.Do(func() {
+		slot.cert, slot.err = s.issue(host)
+		if slot.err != nil {
+			s.log.Event(obs.LevelError, "cert minting failed", "host", host, "err", slot.err)
+			return
+		}
+		s.met.certsMinted.Inc()
+	})
+	if slot.err != nil {
+		return nil, slot.err
 	}
-	s.met.certsMinted.Inc()
 	s.met.tlsServed.Inc()
-	s.certs[host] = c
-	return c, nil
+	return slot.cert, nil
 }
 
 func (s *Server) issue(host string) (*tls.Certificate, error) {
@@ -311,6 +338,22 @@ func (s *Server) issue(host string) (*tls.Certificate, error) {
 		return nil, err
 	}
 	return &tls.Certificate{Certificate: [][]byte{der}, PrivateKey: key}, nil
+}
+
+// connState counts every connection a listener accepts in accepted and
+// keeps the open-connection gauge: a connection stops being open when it
+// closes or when a handler hijacks it (net/http reports no close after a
+// hijack).
+func (s *Server) connState(accepted *obs.Counter) func(net.Conn, http.ConnState) {
+	return func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			accepted.Inc()
+			s.met.connsOpen.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			s.met.connsOpen.Add(-1)
+		}
+	}
 }
 
 // isServiceHost reports whether the host is a third-party service (visited
