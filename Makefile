@@ -24,15 +24,18 @@ perfbench:
 	$(GO) -C perfbench test ./...
 
 # benchpair measures a change against a base commit by the pairing
-# rule: PAIRS pairs of perfbench runs of WORKLOAD at SEED, one run on
-# BASE and one on the working tree per pair, alternating which side goes
-# first, then cmd/benchpair prints each end-to-end metric's median and
-# quartiles per side, the pairs the change won and a verdict. BASE is
-# checked out from its committed files (git archive) into
+# rule: PAIRS pairs of perfbench runs of each workload in WORKLOAD (one
+# name or several, space-separated) at SEED, one run on BASE and one on
+# the working tree per pair, alternating which side goes first; after
+# each workload's pairs, cmd/benchpair prints each end-to-end metric's
+# median and quartiles per side, the pairs the change won and a verdict.
+# BASE is checked out from its committed files (git archive) into
 # $(BENCHPAIR_DIR)/base; each run's output lands in
-# $(BENCHPAIR_DIR)/runs. Runs last BENCHMARK.json's run_seconds (20).
+# $(BENCHPAIR_DIR)/runs/<workload>. Runs last BENCHMARK.json's
+# run_seconds (20).
 #
 #   make benchpair WORKLOAD=crawl-cold PAIRS=10 BASE=HEAD~1 SEED=2019
+#   make benchpair WORKLOAD="replay-analyze crawl-cold" PAIRS=3
 WORKLOAD ?= crawl-cold
 PAIRS ?= 10
 BASE ?= HEAD~1
@@ -40,20 +43,23 @@ SEED ?= 2019
 BENCHPAIR_DIR ?= .benchpair
 benchpair:
 	rm -rf $(BENCHPAIR_DIR)
-	mkdir -p $(BENCHPAIR_DIR)/base $(BENCHPAIR_DIR)/runs
+	mkdir -p $(BENCHPAIR_DIR)/base
 	git archive $(BASE) | tar -x -C $(BENCHPAIR_DIR)/base
 	@set -e; change=$$(pwd); base=$$(cd $(BENCHPAIR_DIR)/base && pwd); \
-	for i in $$(seq 1 $(PAIRS)); do \
-		if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
-		for side in $$order; do \
-			dir=$$change; [ $$side = base ] && dir=$$base; \
-			echo "benchpair: pair $$i/$(PAIRS) $$side"; \
-			( cd $$dir && bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 20 --trace 0 ) \
-				> $(BENCHPAIR_DIR)/runs/$$i-$$side.json 2> $(BENCHPAIR_DIR)/runs/$$i-$$side.err; \
+	for w in $(WORKLOAD); do \
+		runs=$(BENCHPAIR_DIR)/runs/$$w; mkdir -p $$runs; \
+		for i in $$(seq 1 $(PAIRS)); do \
+			if [ $$((i % 2)) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+			for side in $$order; do \
+				dir=$$change; [ $$side = base ] && dir=$$base; \
+				echo "benchpair: $$w pair $$i/$(PAIRS) $$side"; \
+				( cd $$dir && bash perfbench/run.sh --workload $$w --seed $(SEED) --seconds 20 --trace 0 ) \
+					> $$runs/$$i-$$side.json 2> $$runs/$$i-$$side.err; \
+			done; \
 		done; \
+		echo "benchpair: $$w, seed $(SEED), base $(BASE) vs working tree"; \
+		$(GO) run ./cmd/benchpair -benchmark BENCHMARK.json $$runs; \
 	done
-	@echo "benchpair: $(WORKLOAD), seed $(SEED), base $(BASE) vs working tree"
-	$(GO) run ./cmd/benchpair -benchmark BENCHMARK.json $(BENCHPAIR_DIR)/runs
 
 race:
 	$(GO) test -race ./...

@@ -246,7 +246,7 @@ func BenchmarkTable6HTTPS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := f.st.AnalyzeHTTPS(f.pornES)
+		h := f.st.AnalyzeHTTPS(context.Background(), f.pornES)
 		if i == 0 {
 			printRows("table6", func() { report.Table6(os.Stdout, h) })
 		}

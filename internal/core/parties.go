@@ -184,9 +184,17 @@ func (st *Study) Attributor(crs ...*CrawlResult) *attribution.Attributor {
 // AnalyzeOrganizations builds Figure 3: the top-N third-party
 // organizations by porn-corpus prevalence, with their regular-web
 // prevalence for comparison. It also returns attribution coverage.
-// Certificate information is collected actively (ProbeCertOrgs) for every
+// Certificate information is collected actively (ProbeTLS) for every
 // observed third-party FQDN, on top of what the crawls captured passively.
+// It probes under context.Background(); AnalyzeOrganizationsContext is
+// the cancellable form the pipeline runs.
 func (st *Study) AnalyzeOrganizations(porn, regular *CrawlResult, topN int) ([]OrgRow, attribution.Coverage) {
+	return st.AnalyzeOrganizationsContext(context.Background(), porn, regular, topN)
+}
+
+// AnalyzeOrganizationsContext is AnalyzeOrganizations with its
+// certificate probes bound to ctx.
+func (st *Study) AnalyzeOrganizationsContext(ctx context.Context, porn, regular *CrawlResult, topN int) ([]OrgRow, attribution.Coverage) {
 	attr := st.Attributor(porn, regular)
 	probeSet := map[string]bool{}
 	for _, h := range porn.allThirdPartyHosts() {
@@ -202,8 +210,10 @@ func (st *Study) AnalyzeOrganizations(porn, regular *CrawlResult, topN int) ([]O
 		}
 	}
 	sort.Strings(toProbe)
-	for h, org := range st.ProbeCertOrgs(context.Background(), toProbe) {
-		attr.CertOrgs[h] = org
+	for i, p := range st.ProbeTLS(ctx, toProbe) {
+		if p.Org != "" {
+			attr.CertOrgs[toProbe[i]] = p.Org
+		}
 	}
 	pornPrev := attr.PrevalenceByOrg(porn.thirdPartyHostsBySite())
 	regPrev := attr.PrevalenceByOrg(regular.thirdPartyHostsBySite())

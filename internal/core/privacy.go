@@ -350,10 +350,14 @@ type HTTPSResult struct {
 // reality); the fully-HTTPS classification of a site additionally probes
 // whether its plain-HTTP third parties could have served TLS, as the paper
 // words it ("do not support HTTPS").
-func (st *Study) AnalyzeHTTPS(porn *CrawlResult) HTTPSResult {
+func (st *Study) AnalyzeHTTPS(ctx context.Context, porn *CrawlResult) HTTPSResult {
 	var res HTTPSResult
 	perSite := porn.thirdPartyHostsBySite()
-	tlsCapable := st.ProbeTLS(context.Background(), porn.allThirdPartyHosts())
+	tpHosts := porn.allThirdPartyHosts()
+	tlsCapable := make(map[string]bool, len(tpHosts))
+	for i, p := range st.ProbeTLS(ctx, tpHosts) {
+		tlsCapable[tpHosts[i]] = p.OK
+	}
 
 	// Third-party FQDN -> ever served over https in this crawl.
 	tpHTTPS := map[string]bool{}

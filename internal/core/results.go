@@ -95,6 +95,7 @@ func (st *Study) SyncEdgeThreshold() int {
 // in Results so schedule-equivalence comparisons stay byte-exact.
 func (st *Study) Run(ctx context.Context) (*Results, error) {
 	st.prov.Reset()
+	st.probes.reset()
 	start := st.clock()
 	res, err := st.runPipeline(ctx, st.stageOptions())
 	if err != nil {
@@ -259,15 +260,16 @@ func (st *Study) buildPipeline(ps *pipeState) *sched.Graph {
 		res.SharedAllIntervals, res.SharedAllIntervalsTotal = st.SharedAcrossAllIntervals(ps.pornES)
 	}), "crawl/porn-ES", "crawl/reference-ES")
 
-	g.MustAdd("analysis/organizations", pure(func() {
-		rows, cov := st.AnalyzeOrganizations(ps.pornES, ps.regES, 19)
+	g.MustAdd("analysis/organizations", func(ctx context.Context) error {
+		rows, cov := st.AnalyzeOrganizationsContext(ctx, ps.pornES, ps.regES, 19)
 		res.Figure3 = rows
 		if cov.Hosts > 0 {
 			res.AttributionRate = float64(cov.Attributed) / float64(cov.Hosts)
 			res.DisconnectOnlyRate = float64(cov.DisconnectOnly) / float64(cov.Hosts)
 		}
 		res.AttributionCompanies = len(cov.Companies)
-	}), "crawl/porn-ES", "crawl/reference-ES")
+		return nil
+	}, "crawl/porn-ES", "crawl/reference-ES")
 
 	g.MustAdd("analysis/cookies", pure(func() { res.CookieCensus, res.Table4 = st.AnalyzeCookies(ps.pornES, ps.regularTP) }),
 		"crawl/porn-ES", "crawl/reference-ES")
@@ -275,7 +277,10 @@ func (st *Study) buildPipeline(ps *pipeState) *sched.Graph {
 		"crawl/porn-ES")
 	g.MustAdd("analysis/fingerprinting", pure(func() { res.Fingerprinting = st.AnalyzeFingerprinting(ps.pornES, ps.regularTP) }),
 		"crawl/porn-ES", "crawl/reference-ES")
-	g.MustAdd("analysis/https", pure(func() { res.Table6 = st.AnalyzeHTTPS(ps.pornES) }), "crawl/porn-ES")
+	g.MustAdd("analysis/https", func(ctx context.Context) error {
+		res.Table6 = st.AnalyzeHTTPS(ctx, ps.pornES)
+		return nil
+	}, "crawl/porn-ES")
 	g.MustAdd("analysis/malware", pure(func() { res.Malware = st.AnalyzeMalware(ps.pornES) }), "crawl/porn-ES")
 	g.MustAdd("analysis/monetization", pure(func() { res.Monetization = st.AnalyzeMonetization(ps.pornES) }), "crawl/porn-ES")
 	g.MustAdd("analysis/blocking", pure(func() { res.Blocking = st.AnalyzeBlocking(ps.pornES) }), "crawl/porn-ES")

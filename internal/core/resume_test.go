@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pornweb/internal/obs"
 	"pornweb/internal/provenance"
 	"pornweb/internal/store"
 	"pornweb/internal/webgen"
@@ -157,5 +158,36 @@ func TestStoreDirRefusedWithoutResume(t *testing.T) {
 	st.Close()
 	if _, err := NewStudy(storeCfg(11, dir)); !errors.Is(err, store.ErrExists) {
 		t.Fatalf("fresh open of existing store: err = %v, want ErrExists", err)
+	}
+}
+
+// TestResumedRunProbesEachHostOnce resumes a study from its own complete
+// store, so Run crawls nothing and every TLS handshake the server sees is
+// an analysis probe. The HTTPS and organization analyses share one probe
+// per host: each served handshake mints its host's certificate, and none
+// repeats a host. The resumed figures equal the filling run's.
+func TestResumedRunProbesEachHostOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two study runs")
+	}
+	const seed = 11
+	dir := t.TempDir()
+	_, rawFill := runToCompletion(t, storeCfg(seed, dir))
+
+	reg := obs.NewRegistry()
+	cfg := storeCfg(seed, dir)
+	cfg.StoreResume = true
+	cfg.Metrics = reg
+	resumed, rawResumed := runToCompletion(t, cfg)
+	if !bytes.Equal(rawFill, rawResumed) {
+		t.Fatal("resumed manifest differs from the run that filled the store")
+	}
+	if resumed.Store == nil || resumed.Store.Entries == 0 {
+		t.Fatal("resumed run recorded no store info in its manifest")
+	}
+	served := reg.Counter("webserver_tls_handshakes_total", "result", "served").Value()
+	minted := reg.Counter("webserver_certs_minted_total").Value()
+	if served == 0 || served != minted {
+		t.Errorf("resumed run served %d TLS handshakes and minted %d certificates; want them equal and nonzero (one probe per host)", served, minted)
 	}
 }

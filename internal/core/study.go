@@ -195,6 +195,9 @@ type Study struct {
 	// study sends its requests through.
 	transport *http.Transport
 
+	// probes memoizes ProbeTLS outcomes per host for the current Run.
+	probes probeTable
+
 	prov  *provenance.Recorder
 	admin *obs.AdminServer
 	// clock is the study's injected time source (wall-clock reads are

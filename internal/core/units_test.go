@@ -181,23 +181,52 @@ func TestBannerCountsHelpers(t *testing.T) {
 
 func TestProbeCertOrgs(t *testing.T) {
 	st := newBareStudy(t)
-	orgs := st.ProbeCertOrgs(context.Background(), []string{
+	hosts := []string{
 		"exosrv.com",           // HTTPS, org "ExoClick S.L."
 		"google-analytics.com", // HTTPS, org "Google LLC"
 		"xcvgdf.party",         // HTTP-only: no certificate
 		"no-such-host.example", // unresolvable
-	})
-	if orgs["exosrv.com"] != "ExoClick S.L." {
-		t.Errorf("exosrv org = %q", orgs["exosrv.com"])
 	}
-	if orgs["google-analytics.com"] != "Google LLC" {
-		t.Errorf("GA org = %q", orgs["google-analytics.com"])
+	probes := st.ProbeTLS(context.Background(), hosts)
+	want := []TLSProbe{{OK: true, Org: "ExoClick S.L."}, {OK: true, Org: "Google LLC"}, {}, {}}
+	for i, h := range hosts {
+		if probes[i] != want[i] {
+			t.Errorf("probe of %s = %+v, want %+v", h, probes[i], want[i])
+		}
 	}
-	if _, ok := orgs["xcvgdf.party"]; ok {
-		t.Error("HTTP-only host should yield no certificate")
+}
+
+// TestProbeTLSCancelled: a probe under a cancelled context makes no
+// handshake and is not remembered, so a later probe of the same host
+// with a live context still reports it; that probe is then remembered,
+// and asking again makes no further handshake.
+func TestProbeTLSCancelled(t *testing.T) {
+	st := newBareStudy(t)
+	served := st.Metrics.Counter("webserver_tls_handshakes_total", "result", "served")
+	refused := st.Metrics.Counter("webserver_tls_handshakes_total", "result", "no_tls")
+	hosts := []string{"exosrv.com", "xcvgdf.party"}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i, p := range st.ProbeTLS(ctx, hosts) {
+		if p != (TLSProbe{}) {
+			t.Errorf("cancelled probe of %s = %+v, want nothing", hosts[i], p)
+		}
 	}
-	if _, ok := orgs["no-such-host.example"]; ok {
-		t.Error("unknown host should yield nothing")
+	if s, r := served.Value(), refused.Value(); s != 0 || r != 0 {
+		t.Fatalf("cancelled probe reached the server: %d served, %d refused handshakes", s, r)
+	}
+
+	want := []TLSProbe{{OK: true, Org: "ExoClick S.L."}, {}}
+	for rep := 0; rep < 2; rep++ {
+		for i, p := range st.ProbeTLS(context.Background(), hosts) {
+			if p != want[i] {
+				t.Errorf("probe %d of %s = %+v, want %+v", rep+1, hosts[i], p, want[i])
+			}
+		}
+		if s, r := served.Value(), refused.Value(); s != 1 || r != 1 {
+			t.Errorf("after live probe %d: %d served, %d refused handshakes, want 1 and 1", rep+1, s, r)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Top1M is the size of the simulated daily toplist.
@@ -43,10 +44,15 @@ type Stats struct {
 	Presence    float64 // DaysPresent / Days
 }
 
-// Dataset is the simulated longitudinal toplist.
+// Dataset is the simulated longitudinal toplist. Add must not run
+// concurrently with anything else; once filled, every method is safe for
+// concurrent use.
 type Dataset struct {
 	seed  uint64
 	sites map[string]Site
+	// stats memoizes StatsFor per registered host (host -> Stats),
+	// filled on first request.
+	stats sync.Map
 }
 
 // New creates an empty dataset with the given seed.
@@ -59,6 +65,9 @@ func (d *Dataset) Add(s Site) {
 	s.Host = strings.ToLower(s.Host)
 	if s.Volatility == 0 {
 		s.Volatility = defaultVolatility(s.BaseRank)
+	}
+	if _, ok := d.sites[s.Host]; ok {
+		d.stats.Delete(s.Host)
 	}
 	d.sites[s.Host] = s
 }
@@ -159,6 +168,11 @@ func (d *Dataset) RankOn(host string, day int) (rank int, present bool) {
 	if !ok {
 		return 0, false
 	}
+	return d.rankOn(s, day)
+}
+
+// rankOn is RankOn for a registered site.
+func (d *Dataset) rankOn(s Site, day int) (rank int, present bool) {
 	// Bottom-of-list churn: the site may miss the snapshot entirely.
 	if p := dropProb(s.BaseRank); p > 0 {
 		if unitUniform(d.hash64(s.Host, 1_000_000+day)) < p {
@@ -177,13 +191,30 @@ func (d *Dataset) RankOn(host string, day int) (rank int, present bool) {
 	return r, true
 }
 
-// StatsFor computes the longitudinal summary for a host.
+// StatsFor returns the longitudinal summary for a host. A registered
+// host's summary is computed on its first request and memoized, since
+// analyses ask for the same hosts again and again; unknown hosts are
+// never present.
 func (d *Dataset) StatsFor(host string) Stats {
 	host = strings.ToLower(host)
-	st := Stats{Host: host}
-	var ranks []int
+	if st, ok := d.stats.Load(host); ok {
+		return st.(Stats)
+	}
+	s, ok := d.sites[host]
+	if !ok {
+		return Stats{Host: host}
+	}
+	st := d.computeStats(s)
+	d.stats.Store(host, st)
+	return st
+}
+
+// computeStats summarizes a registered site's 365 daily ranks.
+func (d *Dataset) computeStats(s Site) Stats {
+	st := Stats{Host: s.Host}
+	ranks := make([]int, 0, Days)
 	for day := 0; day < Days; day++ {
-		if r, ok := d.RankOn(host, day); ok {
+		if r, ok := d.rankOn(s, day); ok {
 			ranks = append(ranks, r)
 		}
 	}

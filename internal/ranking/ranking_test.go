@@ -1,6 +1,9 @@
 package ranking
 
 import (
+	"fmt"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -174,5 +177,60 @@ func TestMedianRankGrowsWithBase(t *testing.T) {
 	top, tail := d.StatsFor("top.com"), d.StatsFor("tail.com")
 	if top.Median >= tail.Median {
 		t.Errorf("median(top)=%d should be < median(tail)=%d", top.Median, tail.Median)
+	}
+}
+
+// freshStats recomputes a host's summary from RankOn alone.
+func freshStats(d *Dataset, host string) Stats {
+	st := Stats{Host: host}
+	var ranks []int
+	for day := 0; day < Days; day++ {
+		if r, ok := d.RankOn(host, day); ok {
+			ranks = append(ranks, r)
+		}
+	}
+	st.DaysPresent = len(ranks)
+	st.Presence = float64(len(ranks)) / float64(Days)
+	if len(ranks) > 0 {
+		sort.Ints(ranks)
+		st.Best, st.Median = ranks[0], ranks[len(ranks)/2]
+	}
+	return st
+}
+
+// TestStatsForMemoized asks for every host from several goroutines at
+// once (run it under -race): each memoized summary must equal a fresh
+// computation, on first and repeated requests, whatever the case of the
+// query. Re-adding a host replaces its summary.
+func TestStatsForMemoized(t *testing.T) {
+	d := New(9)
+	for i := 0; i < 200; i++ {
+		d.Add(Site{Host: fmt.Sprintf("site%d.com", i), BaseRank: 1 + i*i*37})
+	}
+	hosts := append(d.Hosts(), "unknown.example")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 2; rep++ {
+				for i := range hosts {
+					h := hosts[(i+g*25)%len(hosts)]
+					if got, want := d.StatsFor(h), freshStats(d, h); got != want {
+						t.Errorf("StatsFor(%q) = %+v, want %+v", h, got, want)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := d.StatsFor("SITE7.com"), freshStats(d, "site7.com"); got != want {
+		t.Errorf("StatsFor(SITE7.com) = %+v, want %+v", got, want)
+	}
+
+	before := d.StatsFor("site150.com")
+	d.Add(Site{Host: "site150.com", BaseRank: 3})
+	if got, want := d.StatsFor("site150.com"), freshStats(d, "site150.com"); got != want || got == before {
+		t.Errorf("after re-adding site150.com: StatsFor = %+v, want %+v (was %+v)", got, want, before)
 	}
 }

@@ -54,7 +54,12 @@ func (v Vector) Norm() float64 {
 // non-negative weights (TF-IDF weights are non-negative). Two empty vectors
 // are defined to have similarity 0.
 func Cosine(a, b Vector) float64 {
-	if len(a) == 0 || len(b) == 0 {
+	return cosine(a, b, a.Norm(), b.Norm())
+}
+
+// cosine is Cosine with the norms na = a.Norm() and nb = b.Norm() given.
+func cosine(a, b Vector, na, nb float64) float64 {
+	if len(a) == 0 || len(b) == 0 || na == 0 || nb == 0 {
 		return 0
 	}
 	// Iterate over the smaller vector.
@@ -66,10 +71,6 @@ func Cosine(a, b Vector) float64 {
 		if wb, ok := b[term]; ok {
 			dot += wa * wb
 		}
-	}
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 0
 	}
 	sim := dot / (na * nb)
 	// Clamp tiny floating-point excursions.
@@ -87,6 +88,7 @@ type Corpus struct {
 	docs    [][]string         // tokenized documents
 	idf     map[string]float64 // fitted inverse document frequency
 	vectors []Vector           // cached TF-IDF vectors
+	norms   []float64          // norms[i] = vectors[i].Norm()
 }
 
 // NewCorpus tokenizes the documents and fits IDF weights:
@@ -113,8 +115,10 @@ func NewCorpus(documents []string) *Corpus {
 		c.idf[t] = math.Log((1+n)/(1+float64(d))) + 1
 	}
 	c.vectors = make([]Vector, len(documents))
+	c.norms = make([]float64, len(documents))
 	for i := range c.docs {
 		c.vectors[i] = c.vectorize(c.docs[i])
+		c.norms[i] = c.vectors[i].Norm()
 	}
 	return c
 }
@@ -155,7 +159,7 @@ func (c *Corpus) VectorFor(text string) Vector {
 
 // Similarity returns the cosine similarity between corpus documents i and j.
 func (c *Corpus) Similarity(i, j int) float64 {
-	return Cosine(c.vectors[i], c.vectors[j])
+	return cosine(c.vectors[i], c.vectors[j], c.norms[i], c.norms[j])
 }
 
 // PairStats summarizes all-pairs similarity over the corpus.

@@ -155,3 +155,23 @@ func TestCorpusLen(t *testing.T) {
 		t.Errorf("Len = %d, want 3", n)
 	}
 }
+
+// TestSimilarityMatchesCosine: the corpus's precomputed norms give the
+// similarity Cosine computes from the vectors themselves.
+func TestSimilarityMatchesCosine(t *testing.T) {
+	c := NewCorpus([]string{
+		"template privacy policy cookies third parties",
+		"template privacy policy cookies third parties gdpr",
+		"we share usage data with advertising partners",
+		"",
+		"cookies cookies cookies and more cookies",
+	})
+	for i := 0; i < c.Len(); i++ {
+		for j := 0; j < c.Len(); j++ {
+			got, want := c.Similarity(i, j), Cosine(c.Vector(i), c.Vector(j))
+			if math.Abs(got-want) > 1e-12 {
+				t.Errorf("Similarity(%d, %d) = %v, Cosine = %v", i, j, got, want)
+			}
+		}
+	}
+}

@@ -104,3 +104,48 @@ func TestConnectionTelemetry(t *testing.T) {
 		t.Errorf("webserver_connections_open = %v after every client connection closed, want 0", v)
 	}
 }
+
+// TestNoTLSRefusal checks the refusal of an HTTP-only host, which
+// happens on reading the ClientHello: the client sees the internal_error
+// alert a failed certificate lookup would send, the refusal is counted
+// under no_tls, nothing is minted, and an HTTPS host on the same
+// listener is still served.
+func TestNoTLSRefusal(t *testing.T) {
+	eco := webgen.Generate(webgen.Params{Seed: 7, Scale: 0.02})
+	reg := obs.NewRegistry()
+	srv, err := Start(eco, WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	plain := pickSite(t, eco, func(s *webgen.Site) bool { return !s.HTTPS && !s.Flaky && !s.Unresponsive })
+	secure := pickSite(t, eco, func(s *webgen.Site) bool { return s.HTTPS && !s.Flaky && !s.Unresponsive })
+
+	handshake := func(host string) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		raw, err := srv.DialContext(ctx, "tcp", host+":443")
+		if err != nil {
+			t.Fatalf("dial %s: %v", host, err)
+		}
+		conn := tls.Client(raw, &tls.Config{ServerName: host, RootCAs: srv.CertPool()})
+		defer conn.Close()
+		return conn.HandshakeContext(ctx)
+	}
+	err = handshake(plain.Host)
+	if err == nil || err.Error() != "remote error: tls: internal error" {
+		t.Fatalf("handshake with HTTP-only %s: err = %v, want remote error: tls: internal error", plain.Host, err)
+	}
+	if got := reg.Counter("webserver_tls_handshakes_total", "result", "no_tls").Value(); got != 1 {
+		t.Errorf("no_tls handshakes = %d, want 1", got)
+	}
+	if got := reg.Counter("webserver_certs_minted_total").Value(); got != 0 {
+		t.Errorf("webserver_certs_minted_total = %d after a refused handshake, want 0", got)
+	}
+	if err := handshake(secure.Host); err != nil {
+		t.Fatalf("handshake with HTTPS %s: %v", secure.Host, err)
+	}
+	if got := reg.Counter("webserver_tls_handshakes_total", "result", "served").Value(); got != 1 {
+		t.Errorf("served handshakes = %d, want 1", got)
+	}
+}

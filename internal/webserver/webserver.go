@@ -169,7 +169,7 @@ func Start(eco *webgen.Ecosystem, opts ...Option) (*Server, error) {
 		s.httpLn.Close()
 		return nil, fmt.Errorf("webserver: listen https: %w", err)
 	}
-	tlsConf := &tls.Config{GetCertificate: s.getCertificate}
+	tlsConf := &tls.Config{GetConfigForClient: s.refuseNoTLS, GetCertificate: s.getCertificate}
 	s.httpsLn = tls.NewListener(tcpLn, tlsConf)
 
 	handler := http.HandlerFunc(s.handle)
@@ -273,18 +273,29 @@ type certSlot struct {
 	err  error
 }
 
-// getCertificate issues (and caches) a leaf certificate for the SNI host,
-// carrying the organization the ecosystem planted for it. HTTP-only hosts
-// get a handshake failure. s.mu is held only to find the host's slot:
-// key generation and signing run outside it, so handshakes to other hosts
-// and the per-request telemetry never wait behind a mint.
-func (s *Server) getCertificate(hello *tls.ClientHelloInfo) (*tls.Certificate, error) {
+// refuseNoTLS fails the handshake of a ClientHello naming no host or an
+// HTTP-only host, and the client sees an internal_error alert. It runs
+// as the TLS config's GetConfigForClient, which crypto/tls calls on
+// reading the ClientHello: before the server computes its key share,
+// which getCertificate would only see after. A nil config keeps the
+// listener's.
+func (s *Server) refuseNoTLS(hello *tls.ClientHelloInfo) (*tls.Config, error) {
 	host := strings.ToLower(hello.ServerName)
 	if host == "" || !s.Eco.HTTPSCapable(host) {
 		s.met.tlsRefused.Inc()
 		s.log.Event(obs.LevelDebug, "tls handshake refused", "host", host)
 		return nil, errNoTLS
 	}
+	return nil, nil
+}
+
+// getCertificate issues (and caches) a leaf certificate for the SNI host,
+// carrying the organization the ecosystem planted for it; refuseNoTLS has
+// already turned HTTP-only hosts away. s.mu is held only to find the
+// host's slot: key generation and signing run outside it, so handshakes
+// to other hosts and the per-request telemetry never wait behind a mint.
+func (s *Server) getCertificate(hello *tls.ClientHelloInfo) (*tls.Certificate, error) {
+	host := strings.ToLower(hello.ServerName)
 	s.mu.Lock()
 	slot, ok := s.certs[host]
 	if !ok {
